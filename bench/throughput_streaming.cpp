@@ -75,7 +75,10 @@ numerics::Matrix random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-volatile double g_sink = 0.0;
+// Keeps results observable so the optimiser cannot drop the work. One
+// per thread: engine callbacks consume on worker threads concurrently, and
+// a shared sink would be a data race.
+thread_local volatile double g_sink = 0.0;
 
 void consume(const numerics::Matrix& m) {
   if (!m.empty()) g_sink += m(0, 0);

@@ -336,6 +336,66 @@ std::shared_ptr<const MaskedFactor> FactorCache::lookup_or_build(
   return built;
 }
 
+bool FactorCache::full_mask(const SensorBitmask& mask) {
+  if (mask.size() != 0 && (mask.size() != model_->sensor_count() ||
+                           !mask.all_active())) {
+    return false;
+  }
+  // Undegraded: the model's own path, bit for bit, no cache slot burned
+  // — and counted apart from hits so the hit rate measures the cache.
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.full_mask_batches;
+  return true;
+}
+
+void FactorCache::solve_masked_carved(const MaskedFactor& factor,
+                                      numerics::ConstMatrixView readings,
+                                      numerics::MatrixView alpha,
+                                      Workspace& workspace) const {
+  const std::size_t frames = readings.rows();
+  if (alpha.rows() != frames || alpha.cols() != model_->order()) {
+    throw std::invalid_argument(
+        "FactorCache::solve_batch: coefficient shape mismatch");
+  }
+  const std::vector<std::size_t>& slots = factor.active_slots();
+  const numerics::Vector& mean = model_->mean_at_sensors();
+  // Same layout as the undegraded path (survivors <= sensors, solver
+  // scratch within the model's scratch term), so the model's sizing bound
+  // covers every mask and a warm workspace never grows on a mask change.
+  numerics::MatrixView centered =
+      workspace.alloc_matrix(frames, slots.size());
+  numerics::VectorView scratch =
+      workspace.alloc_vector(factor.solve_scratch_doubles());
+  for (std::size_t row = 0; row < frames; ++row) {
+    const double* src = readings.row_data(row);
+    double* dst = centered.row_data(row);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      dst[i] = src[slots[i]] - mean[slots[i]];
+    }
+  }
+  // Stage attribution for the masked path (the full-mask path is timed
+  // inside the model's own solve; expansion by expand_into itself).
+  obs::ScopedStageSpan span(obs::Stage::kSolve);
+  factor.solve_batch_into(centered, alpha, scratch);
+}
+
+void FactorCache::solve_batch_into(numerics::ConstMatrixView readings,
+                                   const SensorBitmask& mask,
+                                   numerics::MatrixView alpha,
+                                   Workspace& workspace) {
+  if (readings.cols() != model_->sensor_count()) {
+    throw std::invalid_argument(
+        "FactorCache::solve_batch: readings width != sensor count");
+  }
+  if (full_mask(mask)) {
+    model_->solve_batch_into(readings, alpha, workspace);
+    return;
+  }
+  const std::shared_ptr<const MaskedFactor> f = factor(mask);
+  workspace.begin(model_->workspace_doubles(readings.rows()));
+  solve_masked_carved(*f, readings, alpha, workspace);
+}
+
 void FactorCache::reconstruct_batch_into(numerics::ConstMatrixView readings,
                                          const SensorBitmask& mask,
                                          numerics::MatrixView out,
@@ -344,14 +404,7 @@ void FactorCache::reconstruct_batch_into(numerics::ConstMatrixView readings,
     throw std::invalid_argument(
         "FactorCache::reconstruct_batch: readings width != sensor count");
   }
-  if (mask.size() == 0 || (mask.size() == model_->sensor_count() &&
-                           mask.all_active())) {
-    // Undegraded: the model's own path, bit for bit, no cache slot burned
-    // — and counted apart from hits so the hit rate measures the cache.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.full_mask_batches;
-    }
+  if (full_mask(mask)) {
     model_->reconstruct_batch_into(readings, out, workspace);
     return;
   }
@@ -361,34 +414,9 @@ void FactorCache::reconstruct_batch_into(numerics::ConstMatrixView readings,
         "FactorCache::reconstruct_batch: output shape mismatch");
   }
   const std::shared_ptr<const MaskedFactor> f = factor(mask);
-  const std::vector<std::size_t>& slots = f->active_slots();
-  const numerics::Vector& mean = model_->mean_at_sensors();
-  const std::size_t k = model_->order();
-  // Same layout as the undegraded path, so the model's sizing bound
-  // (workspace_doubles) covers every mask and a warm workspace never
-  // grows on a mask change.
-  workspace.begin(Workspace::padded(frames * slots.size()) +
-                  Workspace::padded(frames * k) +
-                  Workspace::padded(f->solve_scratch_doubles()));
-  numerics::MatrixView centered =
-      workspace.alloc_matrix(frames, slots.size());
-  numerics::MatrixView alpha = workspace.alloc_matrix(frames, k);
-  numerics::VectorView scratch =
-      workspace.alloc_vector(f->solve_scratch_doubles());
-  for (std::size_t row = 0; row < frames; ++row) {
-    const double* src = readings.row_data(row);
-    double* dst = centered.row_data(row);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      dst[i] = src[slots[i]] - mean[slots[i]];
-    }
-  }
-  {
-    // Stage attribution for the masked path (the full-mask path is timed
-    // inside the model's own batch solve); expansion is timed by
-    // expand_into itself.
-    obs::ScopedStageSpan span(obs::Stage::kSolve);
-    f->solve_batch_into(centered, alpha, scratch);
-  }
+  workspace.begin(model_->workspace_doubles(frames));
+  numerics::MatrixView alpha = workspace.alloc_matrix(frames, model_->order());
+  solve_masked_carved(*f, readings, alpha, workspace);
   model_->expand_into(alpha, out);
 }
 

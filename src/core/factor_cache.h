@@ -201,14 +201,20 @@ class FactorCache {
   /// use this so warm-up lookups cannot inflate the reported hit rate.
   void validate(const SensorBitmask& mask);
 
-  /// Batched degraded-mode reconstruction into `out` (frames x N).
-  /// `readings` stays full width (frames x sensor_count) — dead sensors
-  /// keep their slot and their values are ignored — so producers never
-  /// re-pack frames as sensors come and go. The full-sensor mask takes the
-  /// model's undegraded path bit for bit. Allocation-free once `workspace`
-  /// is warm and the mask's factor is resident (the engine's steady
-  /// state); model_->workspace_doubles(frames) bounds the reservation for
-  /// every mask.
+  /// The solve half of a degraded-mode batch: coefficients (frames x k)
+  /// into `alpha`. `readings` stays full width (frames x sensor_count) —
+  /// dead sensors keep their slot and their values are ignored — so
+  /// producers never re-pack frames as sensors come and go. The full-sensor
+  /// mask takes the model's undegraded solve bit for bit. Allocation-free
+  /// once `workspace` is warm and the mask's factor is resident (the
+  /// engine's steady state); model_->workspace_doubles(frames) bounds the
+  /// reservation for every mask.
+  void solve_batch_into(numerics::ConstMatrixView readings,
+                        const SensorBitmask& mask, numerics::MatrixView alpha,
+                        Workspace& workspace);
+
+  /// Batched degraded-mode reconstruction into `out` (frames x N):
+  /// solve_batch_into followed by the model's expand_into.
   void reconstruct_batch_into(numerics::ConstMatrixView readings,
                               const SensorBitmask& mask,
                               numerics::MatrixView out, Workspace& workspace);
@@ -227,6 +233,16 @@ class FactorCache {
   std::shared_ptr<const MaskedFactor> lookup_or_build(
       const SensorBitmask& mask, bool count_hit);
   std::shared_ptr<const MaskedFactor> build(const SensorBitmask& mask) const;
+  /// Whether `mask` means "every sensor alive" for this model; such
+  /// batches bypass the cache (counted in full_mask_batches).
+  bool full_mask(const SensorBitmask& mask);
+  /// The one masked solve: compacts + centers the surviving readings and
+  /// solves into `alpha`, carving from a workspace the caller already
+  /// began with model_->workspace_doubles(frames).
+  void solve_masked_carved(const MaskedFactor& factor,
+                           numerics::ConstMatrixView readings,
+                           numerics::MatrixView alpha,
+                           Workspace& workspace) const;
 
   const std::shared_ptr<const ReconstructionModel> model_;
   const FactorCacheOptions options_;

@@ -280,22 +280,20 @@ numerics::Vector ReconstructionModel::reconstruct(
   return map;
 }
 
-void ReconstructionModel::reconstruct_batch_into(
-    numerics::ConstMatrixView readings, numerics::MatrixView out,
-    Workspace& workspace) const {
+void ReconstructionModel::solve_carved(numerics::ConstMatrixView readings,
+                                       numerics::MatrixView alpha,
+                                       Workspace& workspace) const {
   if (readings.cols() != sensors_.size()) {
     throw std::invalid_argument(
-        "ReconstructionModel::reconstruct_batch: readings size mismatch");
+        "ReconstructionModel::solve_batch: readings size mismatch");
   }
   const std::size_t frames = readings.rows();
-  if (out.rows() != frames || out.cols() != mean_map_.size()) {
+  if (alpha.rows() != frames || alpha.cols() != k_) {
     throw std::invalid_argument(
-        "ReconstructionModel::reconstruct_batch: output shape mismatch");
+        "ReconstructionModel::solve_batch: coefficient shape mismatch");
   }
   const std::size_t m = sensors_.size();
-  workspace.begin(workspace_doubles(frames));
   numerics::MatrixView centered = workspace.alloc_matrix(frames, m);
-  numerics::MatrixView alpha = workspace.alloc_matrix(frames, k_);
   numerics::VectorView scratch = workspace.alloc_vector(m);
   for (std::size_t f = 0; f < frames; ++f) {
     const double* src = readings.row_data(f);
@@ -304,12 +302,31 @@ void ReconstructionModel::reconstruct_batch_into(
       dst[s] = src[s] - mean_at_sensors_[s];
     }
   }
-  // One multi-RHS solve against the cached QR factor, then one blocked
-  // GEMM expands all coefficient rows through the subspace at once.
-  {
-    obs::ScopedStageSpan span(obs::Stage::kSolve);
-    factor_.solver.solve_batch_into(centered, alpha, scratch);
+  // One multi-RHS solve against the cached QR factor.
+  obs::ScopedStageSpan span(obs::Stage::kSolve);
+  factor_.solver.solve_batch_into(centered, alpha, scratch);
+}
+
+void ReconstructionModel::solve_batch_into(numerics::ConstMatrixView readings,
+                                           numerics::MatrixView alpha,
+                                           Workspace& workspace) const {
+  workspace.begin(workspace_doubles(readings.rows()));
+  solve_carved(readings, alpha, workspace);
+}
+
+void ReconstructionModel::reconstruct_batch_into(
+    numerics::ConstMatrixView readings, numerics::MatrixView out,
+    Workspace& workspace) const {
+  const std::size_t frames = readings.rows();
+  if (out.rows() != frames || out.cols() != mean_map_.size()) {
+    throw std::invalid_argument(
+        "ReconstructionModel::reconstruct_batch: output shape mismatch");
   }
+  // The coefficients stay in the workspace between the two halves; one
+  // blocked GEMM then expands all rows through the subspace at once.
+  workspace.begin(workspace_doubles(frames));
+  numerics::MatrixView alpha = workspace.alloc_matrix(frames, k_);
+  solve_carved(readings, alpha, workspace);
   expand_into(alpha, out);
 }
 

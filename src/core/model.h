@@ -146,10 +146,19 @@ class ReconstructionModel {
                         numerics::VectorView out, Workspace& workspace) const;
   numerics::Vector reconstruct(numerics::ConstVectorView readings) const;
 
+  /// The solve half of a batched reconstruction: row f of `alpha`
+  /// (frames x k) gets the coefficients lstsq(Psi~, y_f - mean~) of row f
+  /// of `readings` (frames x sensors). One multi-RHS solve against the
+  /// cached QR; expand_into(alpha, out) then yields exactly the maps
+  /// reconstruct_batch_into would.
+  void solve_batch_into(numerics::ConstMatrixView readings,
+                        numerics::MatrixView alpha,
+                        Workspace& workspace) const;
+
   /// Batched reconstruction: row f of `readings` (frames x sensors) is one
-  /// sensor frame, row f of `out` (frames x N) its full-map estimate.
-  /// One multi-RHS solve against the cached QR plus one blocked GEMM
-  /// (DESIGN.md §8). Bit-identical to reconstruct_batch().
+  /// sensor frame, row f of `out` (frames x N) its full-map estimate —
+  /// solve_batch_into followed by expand_into, one multi-RHS solve plus
+  /// one blocked GEMM (DESIGN.md §8). Bit-identical to reconstruct_batch().
   void reconstruct_batch_into(numerics::ConstMatrixView readings,
                               numerics::MatrixView out,
                               Workspace& workspace) const;
@@ -172,6 +181,11 @@ class ReconstructionModel {
   };
   static SampledFactor factor_sampled(const Basis& basis, std::size_t k,
                                       const SensorLocations& sensors);
+  /// The one batched solve: centers `readings` and solves into `alpha`,
+  /// carving the centered block and solver scratch out of a workspace the
+  /// caller already began with workspace_doubles(frames).
+  void solve_carved(numerics::ConstMatrixView readings,
+                    numerics::MatrixView alpha, Workspace& workspace) const;
 
   std::size_t k_;
   SensorLocations sensors_;

@@ -165,7 +165,10 @@ void WireReader::doubles(numerics::Vector& out) {
     throw ProtocolError("dist: truncated payload");
   }
   out.resize(count);
-  std::memcpy(out.data(), data_ + pos_, count * sizeof(double));
+  // An empty vector's data() may be null, which memcpy must never see.
+  if (count > 0) {
+    std::memcpy(out.data(), data_ + pos_, count * sizeof(double));
+  }
   pos_ += count * sizeof(double);
 }
 
@@ -218,9 +221,15 @@ HelloMsg decode_hello(const std::uint8_t* data, std::size_t size) {
 
 void encode_register_model(runtime::ModelId id,
                            const core::ReconstructionModel& model,
-                           std::vector<std::uint8_t>& out) {
+                           std::vector<std::uint8_t>& out,
+                           std::uint64_t generation) {
   WireWriter w(out);
   w.u64(id);
+  w.u64(generation);
+  const core::ExpansionOptions& expansion = model.expansion_options();
+  w.u8(static_cast<std::uint8_t>(expansion.backend));
+  w.f64(expansion.sparse_threshold);
+  w.f64(expansion.fp32_error_budget);
   w.u64(model.order());
   w.u64(model.sensors().size());
   for (const std::size_t cell : model.sensors()) w.u64(cell);
@@ -236,6 +245,14 @@ RegisterModelMsg decode_register_model(const std::uint8_t* data,
   WireReader r(data, size);
   RegisterModelMsg msg;
   msg.model = r.u64();
+  msg.generation = r.u64();
+  const std::uint8_t backend = r.u8();
+  if (backend > static_cast<std::uint8_t>(core::ExpansionBackend::kFp32)) {
+    throw ProtocolError("dist: unknown expansion backend");
+  }
+  msg.expansion.backend = static_cast<core::ExpansionBackend>(backend);
+  msg.expansion.sparse_threshold = r.f64();
+  msg.expansion.fp32_error_budget = r.f64();
   msg.order = r.u64();
   const std::uint64_t sensor_count = r.u64();
   msg.sensors.reserve(sensor_count);
@@ -264,7 +281,7 @@ std::shared_ptr<const core::ReconstructionModel> build_model(
   // temporary MatrixBasis can die with this frame.
   const core::MatrixBasis basis{numerics::Matrix(msg.subspace)};
   return std::make_shared<const core::ReconstructionModel>(
-      basis, msg.order, msg.sensors, msg.mean_map);
+      basis, msg.order, msg.sensors, msg.mean_map, msg.expansion);
 }
 
 void encode_model_ack(const ModelAckMsg& msg, std::vector<std::uint8_t>& out) {
@@ -348,20 +365,21 @@ FlushStreamMsg decode_flush_stream(const std::uint8_t* data,
 }
 
 void encode_result(std::uint64_t stream, std::uint64_t first_seq,
-                   numerics::ConstMatrixView maps,
-                   std::vector<std::uint8_t>& out) {
+                   numerics::ConstMatrixView alpha,
+                   std::vector<std::uint8_t>& out, std::uint64_t generation) {
   WireWriter w(out);
   w.u64(stream);
   w.u64(first_seq);
-  w.u64(maps.rows());
-  w.u64(maps.cols());
+  w.u64(generation);
+  w.u64(alpha.rows());
+  w.u64(alpha.cols());
   // Row by row: the view may be strided.
-  w.u64(maps.rows() * maps.cols());
-  for (std::size_t f = 0; f < maps.rows(); ++f) {
+  w.u64(alpha.rows() * alpha.cols());
+  for (std::size_t f = 0; f < alpha.rows(); ++f) {
     const std::size_t at = out.size();
-    out.resize(at + maps.cols() * sizeof(double));
-    std::memcpy(out.data() + at, maps.row_data(f),
-                maps.cols() * sizeof(double));
+    out.resize(at + alpha.cols() * sizeof(double));
+    std::memcpy(out.data() + at, alpha.row_data(f),
+                alpha.cols() * sizeof(double));
   }
 }
 
@@ -370,11 +388,18 @@ void decode_result(const std::uint8_t* data, std::size_t size,
   WireReader r(data, size);
   msg.stream = r.u64();
   msg.first_seq = r.u64();
+  msg.generation = r.u64();
   msg.frames = r.u64();
-  msg.cells = r.u64();
-  r.doubles(msg.maps);
-  if (msg.maps.size() != msg.frames * msg.cells) {
-    throw ProtocolError("dist: result maps size != frames * cells");
+  msg.order = r.u64();
+  r.doubles(msg.alpha);
+  // Divide, never multiply: frames * order wraps for wire-supplied values
+  // and could then "match" a short coefficient list.
+  const std::uint64_t count = msg.alpha.size();
+  const bool consistent =
+      msg.order == 0 ? count == 0 && msg.frames == 0
+                     : count % msg.order == 0 && count / msg.order == msg.frames;
+  if (!consistent) {
+    throw ProtocolError("dist: result coefficient count != frames * order");
   }
   r.expect_end();
 }

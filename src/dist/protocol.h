@@ -45,8 +45,12 @@ inline constexpr std::uint32_t kWireMagic = 0x454D5031;  // "EMP1"
 // expansion-backend memory accounting in the stats payload; v4: per-frame
 // trace context (traced flag + origin timestamp) on kSubmitFrame, the
 // kTracePull/kTraceReply span-collection pair, and per-stage latency
-// histograms + structured events in the stats payload (DESIGN.md §15).
-inline constexpr std::uint16_t kProtocolVersion = 4;
+// histograms + structured events in the stats payload (DESIGN.md §15);
+// v5: results carry coefficients (alpha) plus the router-assigned model
+// generation that solved them — the router expands at delivery — and
+// model registration carries that generation and the model's expansion
+// options (DESIGN.md §12).
+inline constexpr std::uint16_t kProtocolVersion = 5;
 /// Sanity ceiling on one payload; a length past it is a corrupt header.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;
 
@@ -57,7 +61,7 @@ enum class MessageType : std::uint16_t {
   kModelAck = 4,       // worker -> router: registration applied (or failed)
   kSubmitFrame = 5,    // router -> worker: one stream frame
   kFlushStream = 6,    // router -> worker: cut the stream's partial batch
-  kResult = 7,         // worker -> router: one completed batch of maps
+  kResult = 7,         // worker -> router: one solved batch (coefficients)
   kStatsPull = 8,      // router -> worker: request an EngineStats snapshot
   kStatsReply = 9,     // worker -> router: the snapshot
   kHeartbeat = 10,     // worker -> router: liveness tick
@@ -150,21 +154,28 @@ HelloMsg decode_hello(const std::uint8_t* data, std::size_t size);
 /// ReconstructionModel on the worker (the QR factor and the transposed
 /// subspace are recomputed there — they are derived state, and shipping
 /// them would double the payload to save one factorization per swap).
+/// `generation` is the router's cluster-wide, monotonic name for this
+/// exact model object: the worker labels every result it solves with it,
+/// and the router expands those coefficients with the same object.
 struct RegisterModelMsg {
   runtime::ModelId model = 0;
+  std::uint64_t generation = 0;
   std::uint64_t order = 0;
   core::SensorLocations sensors;
   numerics::Vector mean_map;
   numerics::Matrix subspace;  // cell_count x order, orthonormal columns
+  core::ExpansionOptions expansion;
 };
 void encode_register_model(runtime::ModelId id,
                            const core::ReconstructionModel& model,
-                           std::vector<std::uint8_t>& out);
+                           std::vector<std::uint8_t>& out,
+                           std::uint64_t generation = 0);
 RegisterModelMsg decode_register_model(const std::uint8_t* data,
                                        std::size_t size);
 /// Rebuilds the immutable model from a decoded message (MatrixBasis
-/// bridge). Throws std::invalid_argument exactly as direct construction
-/// would (rank-deficient sampled basis, order past sensor count).
+/// bridge), with the sender's expansion options. Throws
+/// std::invalid_argument exactly as direct construction would
+/// (rank-deficient sampled basis, order past sensor count).
 std::shared_ptr<const core::ReconstructionModel> build_model(
     const RegisterModelMsg& msg);
 
@@ -226,19 +237,26 @@ void encode_flush_stream(const FlushStreamMsg& msg,
 FlushStreamMsg decode_flush_stream(const std::uint8_t* data,
                                    std::size_t size);
 
-/// One completed batch: `first_seq` is the global sequence of row 0; rows
-/// are consecutive frames of `stream`.
+/// One solved batch: `first_seq` is the global sequence of row 0; rows
+/// are consecutive frames of `stream`, each the `order` coefficients of
+/// its frame under the model registered as `generation`. The router
+/// expands them into maps (x = mean + alpha V_k^T) at delivery — 8·order
+/// bytes per frame on the wire instead of 8·cells.
 struct ResultMsg {
   std::uint64_t stream = 0;
   std::uint64_t first_seq = 0;
+  std::uint64_t generation = 0;
   std::uint64_t frames = 0;
-  std::uint64_t cells = 0;
-  numerics::Vector maps;  // frames x cells, row-major
+  std::uint64_t order = 0;
+  numerics::Vector alpha;  // frames x order, row-major
 };
 void encode_result(std::uint64_t stream, std::uint64_t first_seq,
-                   numerics::ConstMatrixView maps,
-                   std::vector<std::uint8_t>& out);
-/// Decodes into `msg`, reusing its buffer (hot path).
+                   numerics::ConstMatrixView alpha,
+                   std::vector<std::uint8_t>& out,
+                   std::uint64_t generation = 0);
+/// Decodes into `msg`, reusing its buffer (hot path). Throws
+/// ProtocolError on truncation, trailing bytes, or a coefficient count
+/// that is not frames x order (checked without overflow).
 void decode_result(const std::uint8_t* data, std::size_t size,
                    ResultMsg& msg);
 

@@ -1,5 +1,6 @@
 #include "dist/replay_log.h"
 
+#include <limits>
 #include <stdexcept>
 
 namespace eigenmaps::dist {
@@ -24,10 +25,12 @@ bool ReplayLog::acquire_slot() {
 bool ReplayLog::append(std::uint64_t stream, std::uint64_t seq,
                        runtime::ModelId model,
                        const core::SensorBitmask& mask,
-                       numerics::ConstVectorView readings) {
+                       numerics::ConstVectorView readings,
+                       std::uint64_t generation) {
   ReplayFrame frame;
   frame.seq = seq;
   frame.model = model;
+  frame.generation = generation;
   frame.mask = mask;
   frame.readings.assign(readings.data(), readings.data() + readings.size());
   std::lock_guard<std::mutex> lock(mutex_);
@@ -39,6 +42,7 @@ bool ReplayLog::append(std::uint64_t stream, std::uint64_t seq,
     return false;
   }
   streams_[stream].push_back(std::move(frame));
+  ++pins_[{model, generation}];
   ++total_;
   return true;
 }
@@ -50,6 +54,9 @@ void ReplayLog::ack_before(std::uint64_t stream, std::uint64_t next_seq) {
   auto& frames = it->second;
   std::size_t dropped = 0;
   while (!frames.empty() && frames.front().seq < next_seq) {
+    const auto pin = pins_.find({frames.front().model,
+                                 frames.front().generation});
+    if (--pin->second == 0) pins_.erase(pin);
     frames.pop_front();
     ++dropped;
   }
@@ -85,6 +92,15 @@ std::vector<std::uint64_t> ReplayLog::pending_streams() const {
   out.reserve(streams_.size());
   for (const auto& entry : streams_) out.push_back(entry.first);
   return out;
+}
+
+std::uint64_t ReplayLog::oldest_generation(runtime::ModelId model) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = pins_.lower_bound({model, 0});
+  if (it == pins_.end() || it->first.first != model) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return it->first.second;
 }
 
 std::size_t ReplayLog::size() const {

@@ -26,6 +26,10 @@ namespace eigenmaps::dist {
 struct ReplayFrame {
   std::uint64_t seq = 0;  // router-assigned global per-stream sequence
   runtime::ModelId model = 0;
+  /// The router generation of `model` current when the frame was pushed:
+  /// while the frame is un-acked it pins that generation (and every later
+  /// one of the model) in the router's expansion table.
+  std::uint64_t generation = 0;
   core::SensorBitmask mask;
   numerics::Vector readings;
 };
@@ -61,7 +65,8 @@ class ReplayLog {
   /// will ever replay.
   bool append(std::uint64_t stream, std::uint64_t seq,
               runtime::ModelId model, const core::SensorBitmask& mask,
-              numerics::ConstVectorView readings);
+              numerics::ConstVectorView readings,
+              std::uint64_t generation = 0);
 
   /// Acknowledges every frame of `stream` with seq < `next_seq` (a result
   /// batch acks a contiguous prefix). Frees bound capacity.
@@ -78,6 +83,11 @@ class ReplayLog {
 
   /// Streams with at least one pending frame.
   std::vector<std::uint64_t> pending_streams() const;
+
+  /// The oldest push generation among `model`'s un-acked frames, or
+  /// UINT64_MAX when none is pending — a superseded generation older than
+  /// this can no longer label a result.
+  std::uint64_t oldest_generation(runtime::ModelId model) const;
 
   std::size_t size() const;
 
@@ -97,6 +107,8 @@ class ReplayLog {
   std::condition_variable space_;  // capacity freed or failed
   std::condition_variable idle_;   // emptied or failed
   std::map<std::uint64_t, std::deque<ReplayFrame>> streams_;
+  // Un-acked frames per (model, push generation).
+  std::map<std::pair<runtime::ModelId, std::uint64_t>, std::size_t> pins_;
   std::size_t total_ = 0;     // frames in the log
   std::size_t reserved_ = 0;  // slots acquired but not yet appended
   bool failed_ = false;

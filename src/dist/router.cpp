@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "numerics/blas.h"
 #include "obs/event_log.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -343,8 +344,41 @@ std::uint64_t ShardRouter::register_model(
   // it can never miss a model registered concurrently (nor double-apply a
   // retire) between its snapshot and the instant it becomes routable.
   std::lock_guard<std::mutex> teach(teach_mutex_);
+  // The generation enters the table before the broadcast: a worker may
+  // solve with it the moment it has applied the registration, well before
+  // every ack is in.
+  std::uint64_t generation;
+  {
+    std::lock_guard<std::mutex> lock(generations_mutex_);
+    generation = ++next_generation_;
+    generations_[generation] = Generation{id, model, false};
+  }
+  std::uint64_t version;
+  try {
+    version = broadcast_model(id, model, generation);
+  } catch (...) {
+    // Some shard may still have applied it; the entry lives on, superseded,
+    // until no un-acked frame could have been solved with it.
+    std::lock_guard<std::mutex> lock(generations_mutex_);
+    supersede_locked(generation);
+    release_generations_locked();
+    throw;
+  }
+  std::lock_guard<std::mutex> lock(generations_mutex_);
+  const auto previous = current_generation_.find(id);
+  if (previous != current_generation_.end()) {
+    supersede_locked(previous->second);
+  }
+  current_generation_[id] = generation;
+  release_generations_locked();
+  return version;
+}
+
+std::uint64_t ShardRouter::broadcast_model(
+    runtime::ModelId id, std::shared_ptr<const core::ReconstructionModel> model,
+    std::uint64_t generation) {
   std::vector<std::uint8_t> payload;
-  encode_register_model(id, *model, payload);
+  encode_register_model(id, *model, payload, generation);
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     acks_[id].clear();
@@ -400,6 +434,16 @@ std::uint64_t ShardRouter::register_model(
 void ShardRouter::retire_model(runtime::ModelId id) {
   std::lock_guard<std::mutex> teach(teach_mutex_);
   mirror_.unregister_model(id);
+  {
+    // Frames of `id` still in flight keep its last generation pinned.
+    std::lock_guard<std::mutex> lock(generations_mutex_);
+    const auto current = current_generation_.find(id);
+    if (current != current_generation_.end()) {
+      supersede_locked(current->second);
+      current_generation_.erase(current);
+      release_generations_locked();
+    }
+  }
   std::vector<std::uint8_t> payload;
   RetireModelMsg msg;
   msg.model = id;
@@ -473,7 +517,18 @@ std::uint64_t ShardRouter::push_frame(std::uint64_t stream,
   {
     std::lock_guard<std::mutex> ingest(route->ingest);
     seq = route->next_seq++;
-    if (!replay_.append(stream, seq, model, mask, readings)) {
+    bool logged;
+    {
+      // The push generation is read and pinned (by the append) in one
+      // step, so release_generations_locked() can never free it in
+      // between: whatever generation solves this frame is at least it.
+      std::lock_guard<std::mutex> lock(generations_mutex_);
+      const auto current = current_generation_.find(model);
+      logged = replay_.append(
+          stream, seq, model, mask, readings,
+          current == current_generation_.end() ? 0 : current->second);
+    }
+    if (!logged) {
       // The log was poisoned after the capacity wait (shutdown, or every
       // shard dead with no respawn coming): the reservation is released
       // and the frame was not logged, so fail the push loudly instead of
@@ -606,6 +661,9 @@ ClusterStats ShardRouter::stats() {
     return true;
   });
   out.router = counters_;
+  // Shards no longer expand; the expand stage is the router's own.
+  out.aggregate.stage_latency[static_cast<std::size_t>(obs::Stage::kExpand)]
+      .merge(expand_latency_);
   for (const auto& shard : shards_) {
     ShardSnapshot snapshot;
     snapshot.shard = shard->index;
@@ -685,24 +743,54 @@ void ShardRouter::kill_shard(std::size_t shard) {
   if (pid > 0) ::kill(pid, SIGKILL);
 }
 
-void ShardRouter::handle_result(std::size_t shard, const ResultMsg& msg) {
+std::size_t ShardRouter::resident_generations() const {
+  std::lock_guard<std::mutex> lock(generations_mutex_);
+  return generations_.size();
+}
+
+void ShardRouter::supersede_locked(std::uint64_t generation) {
+  const auto it = generations_.find(generation);
+  if (it == generations_.end() || it->second.superseded) return;
+  it->second.superseded = true;
+  ++superseded_count_;
+}
+
+void ShardRouter::release_generations_locked() {
+  if (superseded_count_ == 0) return;
+  // A result is labeled with a generation no older than the push
+  // generation of its first (still un-acked) frame, so a superseded
+  // generation older than every un-acked frame of its model is dead.
+  for (auto it = generations_.begin(); it != generations_.end();) {
+    if (it->second.superseded &&
+        replay_.oldest_generation(it->second.id) > it->first) {
+      it = generations_.erase(it);
+      --superseded_count_;
+    } else {
+      ++it;
+    }
+  }
+}
+
+bool ShardRouter::handle_result(std::size_t shard, const ResultMsg& msg,
+                                numerics::Vector& expanded) {
   const bool traced = obs::tracing_enabled();
   const std::uint64_t ack_start_ns = traced ? obs::monotonic_ns() : 0;
   std::shared_ptr<StreamRoute> route;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     const auto it = routes_.find(msg.stream);
-    if (it == routes_.end()) return;  // never routed: nothing to deliver
+    if (it == routes_.end()) return true;  // never routed: nothing to deliver
     route = it->second;
     if (route->owner != static_cast<std::uint32_t>(shard)) {
       // A shard that lost the stream raced its own death; the new owner
       // recomputes these frames from the replay log.
       counters_.stale_results_dropped += msg.frames;
-      return;
+      return true;
     }
   }
   std::uint64_t delivered = 0;
   std::uint64_t stale = 0;
+  std::uint64_t expand_ns = 0;
   {
     std::lock_guard<std::mutex> delivery(route->delivery);
     const std::uint64_t next = route->next_result_seq;
@@ -710,25 +798,68 @@ void ShardRouter::handle_result(std::size_t shard, const ResultMsg& msg) {
     if (end <= next) {
       stale = msg.frames;  // fully re-delivered by a replay race
     } else {
+      // Resolved under the delivery lock: the result's first un-acked
+      // frame pins its generation, and only a delivery of this stream
+      // (serialised by this lock) could ack that frame.
+      std::shared_ptr<const core::ReconstructionModel> model;
+      {
+        std::lock_guard<std::mutex> lock(generations_mutex_);
+        const auto it = generations_.find(msg.generation);
+        if (it != generations_.end()) model = it->second.model;
+      }
+      // An empty result past the cursor would advance it over frames
+      // nobody delivered; it is as unusable as an unknown generation.
+      if (!model || model->order() != msg.order || msg.frames == 0) {
+        obs::log(obs::LogLevel::kError, "router",
+                 "shard %zu sent an unusable result (generation %llu, "
+                 "order %llu, %llu frames)",
+                 shard, static_cast<unsigned long long>(msg.generation),
+                 static_cast<unsigned long long>(msg.order),
+                 static_cast<unsigned long long>(msg.frames));
+        return false;
+      }
+      // Expand every row the worker solved — the batch shape in-process
+      // serving expands — with the exact model object that generation
+      // names, then deliver from the first undelivered row.
+      const auto frames = static_cast<std::size_t>(msg.frames);
+      const std::size_t cells = model->cell_count();
+      expanded.resize(frames * cells);  // within capacity once warm
+      obs::BatchContext ctx;
+      ctx.traced = traced;
+      ctx.stream = msg.stream;
+      ctx.first_seq = msg.first_seq;
+      ctx.frames = static_cast<std::uint32_t>(frames);
+      obs::set_batch_context(&ctx);
+      model->expand_into(
+          numerics::ConstMatrixView(msg.alpha.data(), frames,
+                                    static_cast<std::size_t>(msg.order),
+                                    static_cast<std::size_t>(msg.order)),
+          numerics::MatrixView(expanded.data(), frames, cells, cells));
+      obs::set_batch_context(nullptr);
+      expand_ns = ctx.stage_ns[static_cast<std::size_t>(obs::Stage::kExpand)];
       const std::uint64_t skip =
           next > msg.first_seq ? next - msg.first_seq : 0;
       stale = skip;
       delivered = msg.frames - skip;
       if (on_result_) {
         const numerics::ConstMatrixView maps(
-            msg.maps.data() + skip * msg.cells,
-            static_cast<std::size_t>(delivered),
-            static_cast<std::size_t>(msg.cells),
-            static_cast<std::size_t>(msg.cells));
+            expanded.data() + skip * cells,
+            static_cast<std::size_t>(delivered), cells, cells);
         on_result_(msg.stream, msg.first_seq + skip, maps);
       }
       route->next_result_seq = end;
       replay_.ack_before(msg.stream, end);
     }
   }
+  if (delivered > 0) {
+    // The ack may have unpinned a superseded generation.
+    std::lock_guard<std::mutex> lock(generations_mutex_);
+    release_generations_locked();
+  }
   if (traced && delivered > 0) {
-    // The ack span covers result handling through client callback and
-    // replay-log ack, under the seq of the first frame actually delivered.
+    // The ack span covers result handling through expansion, client
+    // callback and replay-log ack, under the seq of the first frame
+    // actually delivered.
     obs::record_span(obs::Stage::kAck, ack_start_ns, obs::monotonic_ns(),
                      msg.stream, msg.first_seq + (msg.frames - delivered),
                      static_cast<std::uint32_t>(delivered));
@@ -736,14 +867,21 @@ void ShardRouter::handle_result(std::size_t shard, const ResultMsg& msg) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   counters_.results_delivered += delivered;
   counters_.stale_results_dropped += stale;
+  if (delivered > 0) expand_latency_.record(expand_ns);
+  return true;
 }
 
 void ShardRouter::reader_loop(std::size_t shard_index,
                               std::shared_ptr<MessageConnection> conn) {
+  // Results expand here, one batch at a time per reader; pin the kernels
+  // to this thread (as the engine's workers do) so a GEMM never fans out
+  // into helper threads per batch.
+  numerics::set_blas_threads_this_thread(1);
   Shard& shard = *shards_[shard_index];
   MessageType type;
   std::vector<std::uint8_t> payload;
-  ResultMsg result;  // buffers reused across frames
+  ResultMsg result;           // buffers reused across frames
+  numerics::Vector expanded;  // maps of one result, reused across results
   bool escalate = false;
   for (;;) {
     if (escalate) break;
@@ -762,7 +900,9 @@ void ShardRouter::reader_loop(std::size_t shard_index,
       switch (type) {
         case MessageType::kResult:
           decode_result(payload.data(), payload.size(), result);
-          handle_result(shard_index, result);
+          // An unexpandable result downs the shard (rehash + replay) just
+          // like a corrupt payload; nothing is delivered from it.
+          if (!handle_result(shard_index, result, expanded)) escalate = true;
           break;
         case MessageType::kHeartbeat: {
           decode_heartbeat(payload.data(), payload.size());
@@ -1158,7 +1298,15 @@ bool ShardRouter::attempt_respawn(std::size_t shard_index) {
     for (const runtime::ModelId id : mirror_.ids()) {
       const auto entry = mirror_.resolve(id);
       if (!entry) continue;  // unreachable under teach_mutex_; be safe
-      encode_register_model(id, *entry->model, payload);
+      std::uint64_t generation = 0;
+      {
+        std::lock_guard<std::mutex> lock(generations_mutex_);
+        const auto current = current_generation_.find(id);
+        if (current != current_generation_.end()) {
+          generation = current->second;
+        }
+      }
+      encode_register_model(id, *entry->model, payload, generation);
       if (conn->send(MessageType::kRegisterModel, payload) !=
           RecvStatus::kOk) {
         return fail_respawn_attempt(shard);

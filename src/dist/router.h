@@ -22,6 +22,13 @@
 // migrates its streams back with the same quiesce-then-replay protocol the
 // failure path uses — so the exactly-once in-order contract holds across
 // rejoin exactly as it does across death.
+//
+// Shards ship coefficients, not maps (protocol v5): a worker solves and
+// returns alpha (frames x K) labeled with the router-assigned generation of
+// the model version that solved it; the router's per-shard reader thread
+// expands alpha with its own copy of that exact model object before
+// delivery. The client callback still receives maps, bit-for-bit what
+// in-process serving of the same model would produce.
 #ifndef EIGENMAPS_DIST_ROUTER_H
 #define EIGENMAPS_DIST_ROUTER_H
 
@@ -162,9 +169,24 @@ class ShardRouter {
   /// notices through the broken connection, exactly as for a real crash).
   void kill_shard(std::size_t shard);
 
+  /// Model generations the router currently holds for expansion: one per
+  /// registered model, plus superseded ones still pinned by un-acked
+  /// frames (a hot swap's old model lives until its last frame is acked).
+  std::size_t resident_generations() const;
+
  private:
   struct Shard;
   struct StreamRoute;
+  /// One entry of the generation table: the exact model object a
+  /// generation names, shared with the caller and the mirror registry.
+  struct Generation {
+    runtime::ModelId id = 0;
+    std::shared_ptr<const core::ReconstructionModel> model;
+    /// A newer generation of `id` was published (or `id` retired, or the
+    /// registration failed): free once no un-acked frame of `id` was
+    /// pushed at or before this generation.
+    bool superseded = false;
+  };
 
   /// Rejects malformed options with std::invalid_argument; the validated
   /// copy initializes options_.
@@ -175,7 +197,24 @@ class ShardRouter {
                    std::shared_ptr<MessageConnection> conn);
   void monitor_loop();
   void handle_shard_failure(std::size_t shard);
-  void handle_result(std::size_t shard, const ResultMsg& msg);
+  /// Expands (into `expanded`, the reader's reused buffer) and delivers
+  /// one result. Returns false when the result cannot be expanded — an
+  /// unknown generation or a coefficient width other than the model's
+  /// order — which the reader treats as a shard failure.
+  bool handle_result(std::size_t shard, const ResultMsg& msg,
+                     numerics::Vector& expanded);
+  /// teach_mutex_ held: sends `model` as `generation` to every live shard,
+  /// waits for all acks, then publishes it to the mirror; returns the
+  /// mirror version. Throws when a shard rejects it or none is alive.
+  std::uint64_t broadcast_model(
+      runtime::ModelId id,
+      std::shared_ptr<const core::ReconstructionModel> model,
+      std::uint64_t generation);
+  /// generations_mutex_ held: marks `generation` superseded.
+  void supersede_locked(std::uint64_t generation);
+  /// generations_mutex_ held: frees every superseded generation that no
+  /// un-acked frame can still be labeled with.
+  void release_generations_locked();
   /// The self-healing supervisor: sleeps until a dead shard's backoff
   /// expires, then tries to bring it back.
   void respawn_loop();
@@ -253,7 +292,20 @@ class ShardRouter {
   std::uint64_t stats_generation_ = 0;
   std::uint64_t trace_generation_ = 0;
   RouterCounters counters_;
+  /// Router-side expansion time per result (the expand stage now runs
+  /// here, so ClusterStats reports it from this histogram).
+  runtime::LatencyHistogram expand_latency_;
   bool shutting_down_ = false;
+
+  /// Generation table (DESIGN.md §12). Guards generations_,
+  /// current_generation_, next_generation_ and superseded_count_. Ordered
+  /// after a stream's ingest/delivery locks and before the replay log's
+  /// own lock; never held across a send or a callback.
+  mutable std::mutex generations_mutex_;
+  std::map<std::uint64_t, Generation> generations_;
+  std::map<runtime::ModelId, std::uint64_t> current_generation_;
+  std::uint64_t next_generation_ = 0;
+  std::size_t superseded_count_ = 0;
 };
 
 }  // namespace eigenmaps::dist

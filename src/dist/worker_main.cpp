@@ -23,6 +23,11 @@
 // and relabeling those would make the router ack frames it never
 // delivered.
 //
+// The engine here delivers coefficients, not maps: a worker only solves,
+// and labels each result with the router-assigned generation of the model
+// version that solved it (kept per local (id, version)), so the router can
+// expand with its own copy of that exact model (protocol v5).
+//
 // Usage: eigenmaps_shard_worker <socket> <shard> <threads> <batch> <hb_ms>
 
 #include <atomic>
@@ -31,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -114,6 +120,23 @@ int worker_main(int argc, char** argv) {
   const bool inject_error =
       inject_env != nullptr && parse_u64(inject_env, "inject shard") == shard;
   const char* die_file = std::getenv("EIGENMAPS_DIST_DIE_FILE");
+  //  - EIGENMAPS_DIST_BAD_RESULT_FILE=<path>: the first worker (of any
+  //    shard, in any life) to send a result while the file exists deletes
+  //    it and corrupts that one result — a wrong coefficient width when
+  //    the file reads "order", an unknown model generation otherwise. The
+  //    unlink makes the fault fire exactly once cluster-wide.
+  std::string bad_result_path;
+  bool bad_result_order = false;
+  if (const char* path = std::getenv("EIGENMAPS_DIST_BAD_RESULT_FILE")) {
+    if (std::FILE* f = std::fopen(path, "r")) {
+      char mode[16] = {};
+      const std::size_t n = std::fread(mode, 1, sizeof mode - 1, f);
+      std::fclose(f);
+      bad_result_path = path;
+      bad_result_order = n >= 5 && std::strncmp(mode, "order", 5) == 0;
+    }
+  }
+  std::atomic<bool> bad_result_armed{!bad_result_path.empty()};
 
   // Declared before the registry/engine: the engine's result callback
   // sends on this connection from worker threads, so the connection must
@@ -135,10 +158,14 @@ int worker_main(int argc, char** argv) {
     return 3;
   }
 
-  // Per-stream global<->local seq mapping. The result callback reads it on
-  // engine worker threads while the main loop writes it, hence the mutex.
+  // Per-stream global<->local seq mapping, and the router generation of
+  // every registered local (model id, version). The result callback reads
+  // both on engine worker threads while the main loop writes them, hence
+  // the mutex.
   std::mutex seq_mutex;
   std::map<std::uint64_t, StreamSeq> seqs;
+  std::map<std::pair<runtime::ModelId, std::uint64_t>, std::uint64_t>
+      generations;
 
   runtime::ModelRegistry registry;
   runtime::EngineOptions engine_options;
@@ -147,7 +174,8 @@ int worker_main(int argc, char** argv) {
   runtime::ReconstructionEngine engine(
       registry, engine_options,
       [&](std::uint64_t stream, std::uint64_t first_local,
-          numerics::ConstMatrixView maps) {
+          const runtime::RegisteredModel& served,
+          numerics::ConstMatrixView alpha) {
         // Label each row with the base of the epoch its frame was pushed
         // under. A batch can span a re-anchor (frames pushed before and
         // after), so it may have to go out as several result messages —
@@ -159,8 +187,11 @@ int worker_main(int argc, char** argv) {
         };
         thread_local std::vector<Segment> segments;
         segments.clear();
+        std::uint64_t generation = 0;  // 0: unknown to the router
         {
           std::lock_guard<std::mutex> lock(seq_mutex);
+          const auto gen = generations.find({served.id, served.version});
+          if (gen != generations.end()) generation = gen->second;
           std::deque<SeqEpoch>& epochs = seqs[stream].epochs;
           if (epochs.empty()) epochs.push_back({0, 0});  // unreachable guard
           // The engine delivers each stream's locals in order, so epochs
@@ -168,7 +199,7 @@ int worker_main(int argc, char** argv) {
           while (epochs.size() > 1 && epochs[1].first_local <= first_local) {
             epochs.pop_front();
           }
-          const std::uint64_t end_local = first_local + maps.rows();
+          const std::uint64_t end_local = first_local + alpha.rows();
           std::uint64_t cursor = first_local;
           std::size_t e = 0;
           while (cursor < end_local) {
@@ -184,10 +215,24 @@ int worker_main(int argc, char** argv) {
             ++e;
           }
         }
+        numerics::ConstMatrixView rows = alpha;
+        if (bad_result_armed.load(std::memory_order_relaxed) &&
+            bad_result_armed.exchange(false) &&
+            ::unlink(bad_result_path.c_str()) == 0) {
+          // Injected fault (see EIGENMAPS_DIST_BAD_RESULT_FILE above).
+          if (bad_result_order) {
+            rows = numerics::ConstMatrixView(alpha.row_data(0), alpha.rows(),
+                                             alpha.cols() - 1,
+                                             alpha.stride());
+          } else {
+            generation = ~std::uint64_t{0};
+          }
+        }
         thread_local std::vector<std::uint8_t> payload;
         for (const Segment& seg : segments) {
           dist::encode_result(stream, seg.first_global,
-                              maps.rows_view(seg.offset, seg.rows), payload);
+                              rows.rows_view(seg.offset, seg.rows), payload,
+                              generation);
           // A failed send means the router is gone; the main recv loop
           // will see the same and exit.
           conn.send(dist::MessageType::kResult, payload);
@@ -371,6 +416,10 @@ int worker_main(int argc, char** argv) {
             ack.model = msg.model;
             ack.version = registry.register_model(msg.model,
                                                   dist::build_model(msg));
+            // Labeled before this loop pushes another frame, so no batch
+            // can bind the new version ahead of its generation.
+            std::lock_guard<std::mutex> lock(seq_mutex);
+            generations[{msg.model, ack.version}] = msg.generation;
             ack.ok = true;
           } catch (const std::exception& error) {
             ack.ok = false;
@@ -409,6 +458,19 @@ int worker_main(int argc, char** argv) {
           // i.e. every result is on the wire — socket ordering then puts the
           // done token after them all.
           engine.drain();
+          {
+            // Nothing is in flight now, so only the registered versions can
+            // still solve a batch: forget every superseded generation.
+            std::lock_guard<std::mutex> lock(seq_mutex);
+            for (auto it = generations.begin(); it != generations.end();) {
+              const auto entry = registry.resolve(it->first.first);
+              if (!entry || entry->version != it->first.second) {
+                it = generations.erase(it);
+              } else {
+                ++it;
+              }
+            }
+          }
           dist::encode_drain_done(msg, reply);
           conn.send(dist::MessageType::kDrainDone, reply);
           break;

@@ -113,9 +113,14 @@ struct ReconstructionEngine::StreamState {
   std::uint64_t next_deliver_seq = 0;
   struct Ready {
     std::uint64_t first_seq = 0;
-    numerics::Vector maps;  // pooled, frames x width row-major
+    // Pooled, frames x width row-major: maps, or coefficients when the
+    // engine delivers through a CoefficientCallback.
+    numerics::Vector rows;
     std::size_t frames = 0;
     std::size_t width = 0;
+    // The registered version that served the batch (what a coefficient
+    // consumer expands with).
+    std::shared_ptr<const RegisteredModel> served;
   };
   std::vector<Ready> ready;
 
@@ -186,7 +191,13 @@ ReconstructionEngine::ReconstructionEngine(ModelRegistry& registry,
                                            EngineOptions options,
                                            ResultCallback on_result)
     : ReconstructionEngine(nullptr, &registry, std::move(options),
-                           std::move(on_result)) {}
+                           std::move(on_result), nullptr) {}
+
+ReconstructionEngine::ReconstructionEngine(ModelRegistry& registry,
+                                           EngineOptions options,
+                                           CoefficientCallback on_coefficients)
+    : ReconstructionEngine(nullptr, &registry, std::move(options), nullptr,
+                           std::move(on_coefficients)) {}
 
 ReconstructionEngine::ReconstructionEngine(
     const core::Reconstructor& reconstructor, EngineOptions options,
@@ -197,16 +208,23 @@ ReconstructionEngine::ReconstructionEngine(
             registry->register_model(kDefaultModel, reconstructor.model());
             return registry;
           }(),
-          nullptr, std::move(options), std::move(on_result)) {}
+          nullptr, std::move(options), std::move(on_result), nullptr) {}
 
 ReconstructionEngine::ReconstructionEngine(
     std::unique_ptr<ModelRegistry> owned_registry, ModelRegistry* registry,
-    EngineOptions options, ResultCallback on_result)
+    EngineOptions options, ResultCallback on_result,
+    CoefficientCallback on_coefficients)
     : owned_registry_(std::move(owned_registry)),
       registry_(owned_registry_ ? owned_registry_.get() : registry),
       options_(options),
       on_result_(std::move(on_result)),
+      on_coefficients_(std::move(on_coefficients)),
       pool_(std::make_shared<BufferPool>()) {
+  if (on_coefficients_ && options_.observer != nullptr) {
+    throw std::invalid_argument(
+        "ReconstructionEngine: a BatchObserver needs maps; it cannot be "
+        "attached to a coefficient-delivering engine");
+  }
   if (options_.batch_size == 0) {
     throw std::invalid_argument("ReconstructionEngine: batch_size must be > 0");
   }
@@ -607,7 +625,11 @@ std::size_t ReconstructionEngine::retire_idle_streams() {
   std::lock_guard<std::mutex> streams_lock(streams_mutex_);
   std::size_t retired = 0;
   for (auto it = streams_.begin(); it != streams_.end();) {
-    StreamState& state = *it->second;
+    // A local owner, declared before the guards so it outlives them: when
+    // no producer holds a reference, erase() below drops the table's last
+    // one, and the guards must not unlock mutexes inside a freed state.
+    const std::shared_ptr<StreamState> owner = it->second;
+    StreamState& state = *owner;
     std::lock_guard<std::mutex> ingest(state.ingest_mutex);
     std::lock_guard<std::mutex> deliver(state.deliver_mutex);
     const bool idle = state.pending_frames == 0 && state.ready.empty() &&
@@ -675,12 +697,21 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
 
   // One-shot and streaming results both come out of the pool; the one-shot
   // buffer leaves custody inside a PooledMaps handle and returns when the
-  // caller drops it.
+  // caller drops it. A coefficient engine's streams stop after the solve:
+  // their result rows are the k coefficients, not the N-cell maps.
+  const bool coefficients = on_coefficients_ && !job.one_shot();
+  const std::size_t width =
+      coefficients ? job.entry->model->order() : cells;
   bool minted = false;
-  numerics::Vector maps = pool_->acquire(job.frame_count * cells, minted);
+  numerics::Vector rows = pool_->acquire(job.frame_count * width, minted);
   if (minted) ++minted_buffers;
-  numerics::MatrixView out(maps.data(), job.frame_count, cells, cells);
-  job.entry->cache->reconstruct_batch_into(frames, job.mask, out, workspace);
+  numerics::MatrixView out(rows.data(), job.frame_count, width, width);
+  if (coefficients) {
+    job.entry->cache->solve_batch_into(frames, job.mask, out, workspace);
+  } else {
+    job.entry->cache->reconstruct_batch_into(frames, job.mask, out,
+                                             workspace);
+  }
   obs::set_batch_context(nullptr);
 
   const auto latency = static_cast<std::uint64_t>(
@@ -707,8 +738,11 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
         .record(dequeued_ns >= enqueued_ns ? dequeued_ns - enqueued_ns : 0);
     stats_.stage_latency[static_cast<std::size_t>(obs::Stage::kSolve)].record(
         ctx.stage_ns[static_cast<std::size_t>(obs::Stage::kSolve)]);
-    stats_.stage_latency[static_cast<std::size_t>(obs::Stage::kExpand)]
-        .record(ctx.stage_ns[static_cast<std::size_t>(obs::Stage::kExpand)]);
+    if (!coefficients) {
+      stats_.stage_latency[static_cast<std::size_t>(obs::Stage::kExpand)]
+          .record(
+              ctx.stage_ns[static_cast<std::size_t>(obs::Stage::kExpand)]);
+    }
     ModelStats& model_stats = stats_.models[job.entry->id];
     model_stats.frames_completed += job.frame_count;
     ++model_stats.batches_completed;
@@ -738,7 +772,7 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
   // that race).
   if (job.pooled_input) pool_->release(std::move(job.frames));
   if (job.one_shot()) {
-    PooledMaps result(pool_, std::move(maps), job.frame_count, cells);
+    PooledMaps result(pool_, std::move(rows), job.frame_count, cells);
     if (job.promise) {
       job.promise->set_value(std::move(result));
     } else {
@@ -749,8 +783,8 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
     }
   } else {
     const std::uint64_t deliver_start_ns = obs::monotonic_ns();
-    deliver(job.stream, job.first_seq, std::move(maps), job.frame_count,
-            cells);
+    deliver(job.stream, job.first_seq, std::move(rows), job.frame_count,
+            width, std::move(job.entry));
     const std::uint64_t deliver_end_ns = obs::monotonic_ns();
     if (ctx.traced) {
       obs::record_span(obs::Stage::kDeliver, deliver_start_ns, deliver_end_ns,
@@ -762,10 +796,10 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
   }
 }
 
-void ReconstructionEngine::deliver(std::uint64_t stream,
-                                   std::uint64_t first_seq,
-                                   numerics::Vector maps, std::size_t frames,
-                                   std::size_t width) {
+void ReconstructionEngine::deliver(
+    std::uint64_t stream, std::uint64_t first_seq, numerics::Vector rows,
+    std::size_t frames, std::size_t width,
+    std::shared_ptr<const RegisteredModel> served) {
   // An in-flight batch keeps next_deliver_seq < next_seq, so the stream
   // cannot have been retired: this resolves the same live state.
   std::shared_ptr<StreamState> state = stream_state(stream);
@@ -777,21 +811,24 @@ void ReconstructionEngine::deliver(std::uint64_t stream,
   while (pos != state->ready.end() && pos->first_seq < first_seq) ++pos;
   StreamState::Ready incoming;
   incoming.first_seq = first_seq;
-  incoming.maps = std::move(maps);
+  incoming.rows = std::move(rows);
   incoming.frames = frames;
   incoming.width = width;
+  incoming.served = std::move(served);
   state->ready.insert(pos, std::move(incoming));
   while (!state->ready.empty() &&
          state->ready.front().first_seq == state->next_deliver_seq) {
     StreamState::Ready batch = std::move(state->ready.front());
     state->ready.erase(state->ready.begin());
     state->next_deliver_seq = batch.first_seq + batch.frames;
-    if (on_result_) {
-      on_result_(stream, batch.first_seq,
-                 numerics::ConstMatrixView(batch.maps.data(), batch.frames,
-                                           batch.width, batch.width));
+    const numerics::ConstMatrixView view(batch.rows.data(), batch.frames,
+                                         batch.width, batch.width);
+    if (on_coefficients_) {
+      on_coefficients_(stream, batch.first_seq, *batch.served, view);
+    } else if (on_result_) {
+      on_result_(stream, batch.first_seq, view);
     }
-    pool_->release(std::move(batch.maps));
+    pool_->release(std::move(batch.rows));
   }
 }
 

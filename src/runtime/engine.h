@@ -340,7 +340,10 @@ struct EngineStats {
 /// The result callback runs on worker threads and must not call back into
 /// the engine. The maps view it receives is only valid for the duration of
 /// the callback — the engine recycles the buffer afterwards; copy
-/// (e.g. numerics::Matrix(maps)) to keep the data. Thread-safe for many
+/// (e.g. numerics::Matrix(maps)) to keep the data. An engine built with a
+/// CoefficientCallback instead delivers each streaming batch's
+/// coefficients together with the registered version that solved it,
+/// under the same ordering and lifetime rules. Thread-safe for many
 /// concurrent producers.
 class ReconstructionEngine {
  public:
@@ -355,9 +358,27 @@ class ReconstructionEngine {
       std::function<void(std::uint64_t stream, std::uint64_t first_seq,
                          numerics::ConstMatrixView maps)>;
 
+  /// stream id, sequence number of the first frame in the batch, the
+  /// registered (model, version) that solved it, and its coefficients
+  /// (frames x served.model->order(); valid only during the callback).
+  /// served.model->expand_into(alpha, ...) yields exactly the maps a
+  /// ResultCallback engine would have delivered.
+  using CoefficientCallback = std::function<void(
+      std::uint64_t stream, std::uint64_t first_seq,
+      const RegisteredModel& served, numerics::ConstMatrixView alpha)>;
+
   /// Serves every model in `registry` (which must outlive the engine).
   ReconstructionEngine(ModelRegistry& registry, EngineOptions options = {},
                        ResultCallback on_result = nullptr);
+
+  /// Streams deliver coefficients instead of maps: workers run the solve
+  /// and skip the expansion, leaving it to whoever holds the served model
+  /// (the shard router expands at delivery, DESIGN.md §12). Same ordering
+  /// and exactly-once contract as the maps form; one-shot submits still
+  /// return maps. Throws std::invalid_argument when `options.observer` is
+  /// set — a BatchObserver taps maps, which this engine never produces.
+  ReconstructionEngine(ModelRegistry& registry, EngineOptions options,
+                       CoefficientCallback on_coefficients);
 
   /// Single-model convenience: owns a private registry with
   /// `reconstructor`'s model under kDefaultModel. The reconstructor's
@@ -432,7 +453,8 @@ class ReconstructionEngine {
 
   ReconstructionEngine(std::unique_ptr<ModelRegistry> owned_registry,
                        ModelRegistry* registry, EngineOptions options,
-                       ResultCallback on_result);
+                       ResultCallback on_result,
+                       CoefficientCallback on_coefficients);
 
   /// Resolves `model` and validates `mask` against it (warming the factor
   /// cache); throws std::invalid_argument when either is unusable.
@@ -450,8 +472,12 @@ class ReconstructionEngine {
   void enqueue(Job job);
   void worker_loop();
   void run_job(Job& job, core::Workspace& workspace);
+  /// Re-sequences one finished streaming batch — `rows` is frames x width
+  /// row-major: maps, or coefficients for a CoefficientCallback engine —
+  /// and hands every batch whose turn has come to the callback.
   void deliver(std::uint64_t stream, std::uint64_t first_seq,
-               numerics::Vector maps, std::size_t frames, std::size_t width);
+               numerics::Vector rows, std::size_t frames, std::size_t width,
+               std::shared_ptr<const RegisteredModel> served);
   void count_serving_allocations(ModelId model, std::uint64_t count);
 
   std::unique_ptr<ModelRegistry> owned_registry_;  // single-model ctor only
@@ -463,6 +489,7 @@ class ReconstructionEngine {
   std::uint64_t swap_token_ = 0;
   const EngineOptions options_;
   const ResultCallback on_result_;
+  const CoefficientCallback on_coefficients_;  // set: streams skip expand
 
   const std::shared_ptr<BufferPool> pool_;
   std::unique_ptr<BoundedWorkQueue<Job>> queue_;

@@ -16,6 +16,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <unistd.h>
@@ -172,6 +173,116 @@ TEST(DistProtocol, OverflowingLengthFieldsThrowInsteadOfAllocating) {
     dist::WireReader reader(wire, sizeof(wire));
     EXPECT_THROW(reader.bitmask(), dist::ProtocolError) << width;
   }
+}
+
+TEST(DistProtocol, ResultRoundTripAndTruncationAtEveryByteThrows) {
+  // v5 result: coefficients plus the generation that solved them, from a
+  // strided view (the worker encodes row slices of a batch).
+  numerics::Matrix alpha(5, 9);
+  for (std::size_t r = 0; r < alpha.rows(); ++r) {
+    for (std::size_t c = 0; c < alpha.cols(); ++c) {
+      alpha(r, c) = 0.25 * static_cast<double>(r) - static_cast<double>(c);
+    }
+  }
+  const numerics::ConstMatrixView strided(alpha.row_data(1), 3, 8, 9);
+  std::vector<std::uint8_t> payload;
+  dist::encode_result(4, 1000, strided, payload, /*generation=*/77);
+
+  dist::ResultMsg msg;
+  dist::decode_result(payload.data(), payload.size(), msg);
+  EXPECT_EQ(msg.stream, 4u);
+  EXPECT_EQ(msg.first_seq, 1000u);
+  EXPECT_EQ(msg.generation, 77u);
+  EXPECT_EQ(msg.frames, 3u);
+  EXPECT_EQ(msg.order, 8u);
+  ASSERT_EQ(msg.alpha.size(), 24u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(std::memcmp(msg.alpha.data() + r * 8, alpha.row_data(r + 1),
+                          8 * sizeof(double)),
+              0);
+  }
+  // 8 bytes per coefficient on the wire, against 8 per cell for maps.
+  EXPECT_EQ(payload.size(), 6 * sizeof(std::uint64_t) + 24 * sizeof(double));
+
+  // Every proper prefix is a truncation and must throw, never misparse;
+  // so must trailing garbage.
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_THROW(dist::decode_result(payload.data(), cut, msg),
+                 dist::ProtocolError)
+        << "cut at " << cut;
+  }
+  payload.push_back(0);
+  EXPECT_THROW(dist::decode_result(payload.data(), payload.size(), msg),
+               dist::ProtocolError);
+
+  // The defaulted generation keeps the pre-v5 call shape compiling.
+  dist::encode_result(4, 0, strided, payload);
+  dist::decode_result(payload.data(), payload.size(), msg);
+  EXPECT_EQ(msg.generation, 0u);
+}
+
+TEST(DistProtocol, ResultOverflowingFramesTimesOrderThrows) {
+  // frames * order is wire-controlled: a product that wraps to the real
+  // coefficient count (here 2^32 * 2^32 = 0 mod 2^64, with no
+  // coefficients) must be rejected, as must any mismatch.
+  const auto put_u64 = [](std::vector<std::uint8_t>& out, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  const auto result = [&](std::uint64_t frames, std::uint64_t order,
+                          std::uint64_t count) {
+    std::vector<std::uint8_t> wire;
+    put_u64(wire, 1);  // stream
+    put_u64(wire, 0);  // first_seq
+    put_u64(wire, 1);  // generation
+    put_u64(wire, frames);
+    put_u64(wire, order);
+    put_u64(wire, count);
+    for (std::uint64_t i = 0; i < count * 8; ++i) wire.push_back(0);
+    return wire;
+  };
+  dist::ResultMsg msg;
+  for (const auto& [frames, order, count] :
+       std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>>{
+           {std::uint64_t{1} << 32, std::uint64_t{1} << 32, 0},
+           {(std::uint64_t{1} << 63) + 1, 2, 2},
+           {~std::uint64_t{0}, ~std::uint64_t{0}, 1},
+           {3, 0, 0},
+           {2, 3, 5}}) {
+    const std::vector<std::uint8_t> wire = result(frames, order, count);
+    EXPECT_THROW(dist::decode_result(wire.data(), wire.size(), msg),
+                 dist::ProtocolError)
+        << frames << " x " << order << " with " << count;
+  }
+  const std::vector<std::uint8_t> good = result(2, 3, 6);
+  EXPECT_NO_THROW(dist::decode_result(good.data(), good.size(), msg));
+}
+
+TEST(DistProtocol, RegisterModelCarriesGenerationAndExpansionOptions) {
+  // v5: the router's generation and the model's expansion options cross
+  // the wire, so a shard rebuilds (and budget-checks) exactly the backend
+  // the caller chose instead of the environment's default.
+  const Fixture fx;
+  core::ExpansionOptions fp32;
+  fp32.backend = core::ExpansionBackend::kFp32;
+  fp32.fp32_error_budget = 2.5e-4;
+  const core::Reconstructor rec(fx.basis, 8, fx.sensors, fx.mean, fp32);
+  std::vector<std::uint8_t> payload;
+  dist::encode_register_model(5, *rec.model(), payload, /*generation=*/42);
+  const dist::RegisterModelMsg msg =
+      dist::decode_register_model(payload.data(), payload.size());
+  EXPECT_EQ(msg.generation, 42u);
+  EXPECT_EQ(msg.expansion.backend, core::ExpansionBackend::kFp32);
+  EXPECT_EQ(msg.expansion.fp32_error_budget, 2.5e-4);
+  const auto rebuilt = dist::build_model(msg);
+  EXPECT_EQ(rebuilt->expansion_backend(), core::ExpansionBackend::kFp32);
+  EXPECT_EQ(rebuilt->fp32_measured_error(), rec.model()->fp32_measured_error());
+
+  // An unknown backend byte is a corrupt frame, not a default.
+  payload[16] = 9;
+  EXPECT_THROW(dist::decode_register_model(payload.data(), payload.size()),
+               dist::ProtocolError);
 }
 
 TEST(DistProtocol, RegisterModelRoundTripRebuildsBitIdenticalModel) {
@@ -418,11 +529,12 @@ struct Collector {
 std::map<std::uint64_t, std::map<std::uint64_t, numerics::Vector>> golden_run(
     const Fixture& fx, std::size_t batch,
     const std::vector<std::pair<std::uint64_t, core::SensorBitmask>>& streams,
-    std::size_t frames_per_stream) {
+    std::size_t frames_per_stream,
+    std::shared_ptr<const core::ReconstructionModel> model = nullptr) {
   std::map<std::uint64_t, std::map<std::uint64_t, numerics::Vector>> out;
   std::mutex mutex;
   runtime::ModelRegistry registry;
-  registry.register_model(1, fx.rec.model());
+  registry.register_model(1, model ? model : fx.rec.model());
   runtime::EngineOptions options;
   options.worker_count = 1;
   options.batch_size = batch;
@@ -602,9 +714,10 @@ struct ScopedTracing {
 
 TEST(DistRouter, TracedRunStitchesSpansAcrossRouterAndShards) {
   // The cross-process acceptance story (DESIGN.md §15): with tracing on,
-  // a frame pushed through the 2-shard router yields route + ack spans
-  // from the router process and ingest → queue-wait → solve → expand →
-  // deliver spans from whichever worker served it, all stitched by
+  // a frame pushed through the 2-shard router yields ingest → queue-wait →
+  // solve → deliver spans from whichever worker served it, and route,
+  // expand and ack spans from the router process (shards ship
+  // coefficients; the router expands at delivery), all stitched by
   // (stream, global seq) — gap-free over every pushed frame and ordered
   // by the shared monotonic clock.
   const Fixture fx;
@@ -672,14 +785,15 @@ TEST(DistRouter, TracedRunStitchesSpansAcrossRouterAndShards) {
     coverage(stream, obs::Stage::kIngest, false);
     coverage(stream, obs::Stage::kQueueWait, false);
     coverage(stream, obs::Stage::kSolve, false);
-    coverage(stream, obs::Stage::kExpand, false);
+    coverage(stream, obs::Stage::kExpand, true);
     coverage(stream, obs::Stage::kDeliver, false);
   }
 
   // Per-stream lifecycle order on the first frame, across the process
   // boundary: CLOCK_MONOTONIC is machine-wide, so the worker-side chain
   // must start no earlier than the router's route span, advance through
-  // the engine stages in order, and finish inside the router's ack.
+  // the engine stages in order, and hand over to the router's expansion,
+  // which runs inside its ack.
   for (std::uint64_t stream = 0; stream < kStreams; ++stream) {
     const auto first_span = [&](obs::Stage stage) {
       const obs::SpanRecord* found = nullptr;
@@ -709,11 +823,13 @@ TEST(DistRouter, TracedRunStitchesSpansAcrossRouterAndShards) {
     EXPECT_EQ(ingest->start_ns, route->start_ns);
     EXPECT_LE(ingest->start_ns, queue->start_ns);
     EXPECT_LE(queue->start_ns, solve->start_ns);
-    EXPECT_LE(solve->start_ns, expand->start_ns);
-    EXPECT_LE(expand->start_ns, deliver->start_ns);
-    EXPECT_LE(deliver->start_ns, ack->end_ns);
-    // Solve and expand happened on the worker that owns the stream.
-    EXPECT_EQ(solve->shard, expand->shard);
+    EXPECT_LE(solve->start_ns, deliver->start_ns);
+    EXPECT_LE(deliver->start_ns, expand->start_ns);
+    EXPECT_LE(ack->start_ns, expand->start_ns);
+    EXPECT_LE(expand->end_ns, ack->end_ns);
+    // The worker that owns the stream solved it; the router expanded it.
+    EXPECT_EQ(solve->shard, deliver->shard);
+    EXPECT_EQ(expand->shard, obs::kRouterShard);
   }
 
   // The same spans render as loadable Chrome trace JSON, one process per
@@ -1189,6 +1305,219 @@ TEST(DistRouter, HotSwapBroadcastReachesEveryShard) {
   EXPECT_EQ(std::memcmp(got.data(), expect.row_data(0),
                         got.size() * sizeof(double)),
             0);
+}
+
+TEST(DistRouter, Fp32AndDense64ModelsMatchInProcessServingByteForByte) {
+  // Backend parity: the router expands with the registered model object
+  // itself, so a routed fp32 model delivers fp32 expansions — byte-equal
+  // to an in-process engine serving that same object — and a dense64
+  // model dense64 ones. (Shards used to rebuild every model with the
+  // environment's default backend, so routed fp32 silently served fp64.)
+  const Fixture fx;
+  constexpr std::size_t kBatch = 8;
+  constexpr std::size_t kFrames = 24;
+  core::ExpansionOptions fp32;
+  fp32.backend = core::ExpansionBackend::kFp32;
+  core::ExpansionOptions dense;
+  const core::Reconstructor rec_fp32(fx.basis, 8, fx.sensors, fx.mean, fp32);
+  const core::Reconstructor rec_dense(fx.basis, 8, fx.sensors, fx.mean,
+                                      dense);
+  std::vector<std::pair<std::uint64_t, core::SensorBitmask>> streams;
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    streams.emplace_back(s, s == 3 ? core::SensorBitmask::except(
+                                         fx.sensors.size(), {1})
+                                   : core::SensorBitmask());
+  }
+
+  std::map<core::ExpansionBackend,
+           std::map<std::uint64_t, std::map<std::uint64_t, numerics::Vector>>>
+      served;
+  for (const core::Reconstructor* rec : {&rec_fp32, &rec_dense}) {
+    Collector collector;
+    dist::ShardRouter router(test_router_options(2, kBatch),
+                             collector.callback());
+    router.register_model(1, rec->model());
+    push_wave(router, fx, streams, 0, kFrames);
+    router.drain();
+    const auto golden =
+        golden_run(fx, kBatch, streams, kFrames, rec->model());
+    std::lock_guard<std::mutex> lock(collector.mutex);
+    EXPECT_FALSE(collector.order_violated);
+    expect_byte_identical(collector.rows, golden);
+    served[rec->model()->expansion_backend()] = collector.rows;
+
+    // The shards rebuilt the caller's backend (their gauges say so).
+    const dist::ClusterStats stats = router.stats();
+    EXPECT_EQ(stats.aggregate.models.at(1).expansion_backend,
+              static_cast<std::uint32_t>(rec->model()->expansion_backend()));
+  }
+  // The two backends really differ somewhere, so the parity above is not
+  // vacuous.
+  bool differ = false;
+  for (const auto& [stream, rows] : served[core::ExpansionBackend::kFp32]) {
+    for (const auto& [seq, row] : rows) {
+      const numerics::Vector& other =
+          served[core::ExpansionBackend::kDense64].at(stream).at(seq);
+      if (std::memcmp(row.data(), other.data(),
+                      row.size() * sizeof(double)) != 0) {
+        differ = true;
+      }
+    }
+  }
+  EXPECT_TRUE(differ);
+}
+
+TEST(DistRouter, HotSwapMidTrafficExpandsWithTheGenerationThatSolved) {
+  // Generation labeling across a hot swap: shards still hold partial
+  // batches bound to v1 when v2 is published, so frames pushed after the
+  // swap are solved by v1 and must be expanded with v1 — v1 coefficients
+  // through v2's basis would match neither reference. A second swap races
+  // a live producer. Afterwards the superseded generations are freed.
+  const Fixture fx;
+  constexpr std::size_t kBatch = 8;
+  constexpr std::uint64_t kStreams = 6;
+  // Same sensors and order, different basis (sign-flipped columns) and a
+  // mean that differs off the subspace (a checkerboard; an in-span shift
+  // would be absorbed by the solve): every version solves to different
+  // coefficients, expands through a different operator, and yields
+  // different maps.
+  const auto variant = [&](double sign, double checker) {
+    numerics::Matrix vectors = fx.basis.vectors();
+    for (double& v : vectors.storage()) v *= sign;
+    const core::MatrixBasis basis{std::move(vectors)};
+    numerics::Vector mean(fx.basis.cell_count());
+    for (std::size_t i = 0; i < mean.size(); ++i) {
+      mean[i] = 40.0 + 0.01 * static_cast<double>(i) +
+                (((i / 12) + i) % 2 == 0 ? checker : -checker);
+    }
+    return std::make_shared<const core::ReconstructionModel>(
+        basis, 8, fx.sensors, std::move(mean));
+  };
+  const std::vector<std::shared_ptr<const core::ReconstructionModel>>
+      versions = {variant(1.0, 0.0), variant(-1.0, 3.0),
+                  variant(1.0, -3.0)};
+
+  Collector collector;
+  dist::ShardRouter router(test_router_options(2, kBatch),
+                           collector.callback());
+  router.register_model(1, versions[0]);
+  const auto push = [&](std::uint64_t first, std::uint64_t last) {
+    for (std::uint64_t f = first; f < last; ++f) {
+      for (std::uint64_t s = 0; s < kStreams; ++s) {
+        const numerics::Vector frame = fx.frame(s, f);
+        router.push_frame(
+            s, numerics::ConstVectorView(frame.data(), frame.size()), 1);
+      }
+    }
+  };
+  push(0, 12);  // one full batch per stream, then 4 frames left pending
+  router.register_model(1, versions[1]);
+  EXPECT_GE(router.resident_generations(), 1u);
+  push(12, 24);  // completes the v1-bound batches, then v2 batches
+  std::atomic<bool> producing{true};
+  std::thread producer([&] {
+    push(24, 64);
+    producing = false;
+  });
+  router.register_model(1, versions[2]);
+  producer.join();
+  router.drain();
+  EXPECT_EQ(router.resident_generations(), 1u);
+
+  // Per-frame references under every version (rows are independent of
+  // the batch they were solved in).
+  std::set<std::size_t> used;
+  std::lock_guard<std::mutex> lock(collector.mutex);
+  EXPECT_FALSE(collector.order_violated);
+  for (std::uint64_t s = 0; s < kStreams; ++s) {
+    ASSERT_EQ(collector.rows[s].size(), 64u) << "stream " << s;
+    numerics::Matrix frames(64, fx.sensors.size());
+    for (std::size_t f = 0; f < 64; ++f) frames.set_row(f, fx.frame(s, f));
+    std::vector<numerics::Matrix> refs;
+    for (const auto& model : versions) {
+      refs.push_back(model->reconstruct_batch(frames));
+    }
+    for (std::size_t f = 0; f < 64; ++f) {
+      const numerics::Vector& got = collector.rows[s].at(f);
+      std::size_t matched = versions.size();
+      std::size_t matches = 0;
+      for (std::size_t v = 0; v < versions.size(); ++v) {
+        if (std::memcmp(got.data(), refs[v].row_data(f),
+                        got.size() * sizeof(double)) == 0) {
+          matched = v;
+          ++matches;
+        }
+      }
+      ASSERT_EQ(matches, 1u)
+          << "stream " << s << " frame " << f
+          << " matches no version (expanded with the wrong generation) or "
+             "the versions are indistinguishable";
+      used.insert(matched);
+      // Frames 12..15 joined batches bound to v1 before the first swap.
+      if (f < 16) {
+        EXPECT_EQ(matched, 0u) << "stream " << s << " frame " << f;
+      }
+    }
+  }
+  EXPECT_EQ(used.count(0), 1u);
+  EXPECT_EQ(used.count(2), 1u);
+}
+
+/// A result the router cannot expand — wrong coefficient width or an
+/// unknown generation, injected once into whichever shard answers first —
+/// must down only that shard: its streams replay onto the survivor, the
+/// slot respawns, and every frame is still delivered exactly once, in
+/// order, byte-identical to in-process serving.
+void run_bad_result_case(const char* mode) {
+  const std::string path = "/tmp/eigenmaps_bad_result_" +
+                           std::to_string(::getpid()) + "_" + mode;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(mode, f);
+    std::fclose(f);
+  }
+  ScopedEnv env("EIGENMAPS_DIST_BAD_RESULT_FILE", path);
+  const Fixture fx;
+  constexpr std::size_t kBatch = 4;
+  constexpr std::size_t kFrames = 16;
+  std::vector<std::pair<std::uint64_t, core::SensorBitmask>> streams;
+  for (std::uint64_t s = 0; s < 6; ++s) {
+    streams.emplace_back(s, core::SensorBitmask());
+  }
+
+  Collector collector;
+  dist::RouterOptions options = test_router_options(2, kBatch);
+  options.respawn_max_attempts = 3;
+  options.respawn_backoff_ms = 10;
+  dist::ShardRouter router(std::move(options), collector.callback());
+  router.register_model(1, fx.rec.model());
+  push_wave(router, fx, streams, 0, kFrames);
+  router.drain();
+  ASSERT_TRUE(wait_until([&] { return router.alive_count() == 2; }))
+      << "the downed shard never respawned";
+  // The worker that fired the fault unlinked the file.
+  EXPECT_NE(::access(path.c_str(), F_OK), 0) << "the fault never fired";
+  std::remove(path.c_str());
+
+  const auto golden = golden_run(fx, kBatch, streams, kFrames);
+  {
+    std::lock_guard<std::mutex> lock(collector.mutex);
+    EXPECT_FALSE(collector.order_violated);
+    expect_byte_identical(collector.rows, golden);
+  }
+  const dist::ClusterStats stats = router.stats();
+  EXPECT_EQ(stats.router.shard_failures, 1u);
+  EXPECT_EQ(stats.router.workers_respawned, 1u);
+  EXPECT_EQ(stats.router.results_delivered, streams.size() * kFrames);
+}
+
+TEST(DistRouter, ResultWithWrongOrderDownsOnlyThatShard) {
+  run_bad_result_case("order");
+}
+
+TEST(DistRouter, ResultWithUnknownGenerationDownsOnlyThatShard) {
+  run_bad_result_case("generation");
 }
 
 }  // namespace

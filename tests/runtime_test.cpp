@@ -2,6 +2,7 @@
 // in-order per-stream delivery, faithful results, honest counters.
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <map>
 #include <mutex>
@@ -292,6 +293,129 @@ TEST(ReconstructionEngine, RetireRacingProducersIsSafe) {
 
   EXPECT_EQ(delivered.load(), 400u);
   EXPECT_EQ(engine.stats().frames_completed, 400u);
+}
+
+TEST(ReconstructionEngine, RetiresIdleStreamsNobodyElseReferences) {
+  // Regression pin for retire_idle_streams(): with every producer gone,
+  // the stream table holds the only reference to each state, so erasing
+  // the entry frees it. The per-stream ingest/deliver guards must not
+  // outlive that state — they used to unlock mutexes inside the freed
+  // StreamState (a heap-use-after-free ThreadSanitizer reports; ASan's
+  // interceptors do not see the unlock).
+  const Fixture fx;
+  runtime::EngineOptions options;
+  options.worker_count = 2;
+  options.batch_size = 4;
+  std::atomic<std::uint64_t> delivered{0};
+  runtime::ReconstructionEngine engine(
+      fx.rec, options,
+      [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
+        delivered.fetch_add(maps.rows());
+      });
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint64_t stream = 0; stream < 16; ++stream) {
+      for (std::uint64_t i = 0; i < 6; ++i) {
+        // Every id starts over after its retirement.
+        EXPECT_EQ(engine.push_frame(stream, fx.frame(stream, i)), i);
+      }
+    }
+    engine.drain();  // no producer holds a state past its push_frame call
+    EXPECT_EQ(engine.retire_idle_streams(), 16u);
+    EXPECT_EQ(engine.retire_idle_streams(), 0u);
+  }
+  EXPECT_EQ(delivered.load(), 3u * 16u * 6u);
+}
+
+TEST(ReconstructionEngine, CoefficientCallbackExpandsToTheMapsCallback) {
+  // The coefficient form skips the expansion: what it delivers, expanded
+  // with the served model, is byte-for-byte what the maps form delivers —
+  // same batches, same order, full and degraded masks alike.
+  const Fixture fx;
+  runtime::ModelRegistry registry;
+  registry.register_model(1, fx.rec.model());
+  runtime::EngineOptions options;
+  options.worker_count = 2;
+  options.batch_size = 4;
+  const core::SensorBitmask dropout =
+      core::SensorBitmask::except(fx.sensors.size(), {2});
+
+  std::mutex mutex;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, numerics::Matrix> maps;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, numerics::Matrix> coeffs;
+  std::map<std::uint64_t, std::uint64_t> next_seq;
+  bool in_order = true;
+  std::uint64_t served_version = 0;
+  const auto push_all = [&](runtime::ReconstructionEngine& engine) {
+    for (std::uint64_t i = 0; i < 10; ++i) {
+      engine.push_frame(0, fx.frame(0, i), 1);
+      engine.push_frame(1, fx.frame(1, i), 1, dropout);
+    }
+    engine.drain();
+  };
+  {
+    runtime::ReconstructionEngine engine(
+        registry, options,
+        [&](std::uint64_t stream, std::uint64_t first_seq,
+            numerics::ConstMatrixView rows) {
+          std::lock_guard<std::mutex> lock(mutex);
+          maps.emplace(std::make_pair(stream, first_seq),
+                       numerics::Matrix(rows));
+        });
+    push_all(engine);
+  }
+  {
+    runtime::ReconstructionEngine engine(
+        registry, options,
+        [&](std::uint64_t stream, std::uint64_t first_seq,
+            const runtime::RegisteredModel& served,
+            numerics::ConstMatrixView alpha) {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (next_seq[stream] != first_seq) in_order = false;
+          next_seq[stream] = first_seq + alpha.rows();
+          served_version = served.version;
+          EXPECT_EQ(alpha.cols(), served.model->order());
+          coeffs.emplace(std::make_pair(stream, first_seq),
+                         served.model->expand(alpha));
+        });
+    push_all(engine);
+    // One-shot submits still return maps.
+    numerics::Matrix frames(2, fx.sensors.size());
+    frames.set_row(0, fx.frame(5, 0));
+    frames.set_row(1, fx.frame(5, 1));
+    const runtime::PooledMaps one_shot = engine.submit_wait(frames, 1);
+    EXPECT_EQ(one_shot.cols(), fx.rec.model()->cell_count());
+    EXPECT_EQ(engine.stats().frames_completed, 22u);
+  }
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(served_version, 1u);
+  ASSERT_EQ(coeffs.size(), maps.size());
+  for (const auto& [key, expect] : maps) {
+    ASSERT_EQ(coeffs.count(key), 1u);
+    const numerics::Matrix& got = coeffs.at(key);
+    ASSERT_EQ(got.rows(), expect.rows());
+    EXPECT_EQ(std::memcmp(got.row_data(0), expect.row_data(0),
+                          expect.rows() * expect.cols() * sizeof(double)),
+              0)
+        << "stream " << key.first << " batch at " << key.second;
+  }
+
+  // A BatchObserver taps maps, which this engine never produces.
+  struct NullObserver final : runtime::BatchObserver {
+    void on_batch(std::uint64_t, std::uint64_t, std::uint64_t,
+                  const core::ReconstructionModel&,
+                  const core::SensorBitmask&, numerics::ConstMatrixView,
+                  numerics::ConstMatrixView) override {}
+    runtime::AdaptationCounters counters(std::uint64_t) const override {
+      return {};
+    }
+  } observer;
+  options.observer = &observer;
+  EXPECT_THROW(runtime::ReconstructionEngine(
+                   registry, options,
+                   [](std::uint64_t, std::uint64_t,
+                      const runtime::RegisteredModel&,
+                      numerics::ConstMatrixView) {}),
+               std::invalid_argument);
 }
 
 TEST(ReconstructionEngine, RejectsBadConfigAndBadFrames) {

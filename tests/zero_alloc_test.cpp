@@ -22,6 +22,7 @@
 #include "numerics/rng.h"
 #include "obs/trace.h"
 #include "runtime/engine.h"
+#include "runtime/registry.h"
 
 namespace {
 
@@ -212,6 +213,56 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
   EXPECT_EQ(model_stats.steady_state_allocations,
             warm_model_stats.steady_state_allocations);
   EXPECT_EQ(stats.frames_completed, 2u * 22u * options.batch_size);
+}
+
+TEST(ZeroAlloc, WarmedCoefficientEngineBatchCycle) {
+  // The shard workers' engine form: streams stop after the solve and hand
+  // coefficients plus the served registry entry to the callback. Pooled
+  // k-wide result rows and the entry handoff must keep the warmed cycle
+  // heap-free exactly like the maps form above.
+  const Fixture fx;
+  const core::SensorBitmask mask =
+      core::SensorBitmask::except(fx.sensors.size(), {2, 7});
+  const numerics::Matrix frames = fx.frames(64, 13);
+  runtime::ModelRegistry registry;
+  registry.register_model(1, fx.rec.model());
+
+  std::atomic<std::uint64_t> delivered{0};
+  runtime::EngineOptions options;
+  options.worker_count = 1;
+  options.batch_size = 8;
+  options.queue_capacity = 2;
+  runtime::ReconstructionEngine engine(
+      registry, options,
+      [&](std::uint64_t, std::uint64_t, const runtime::RegisteredModel&,
+          numerics::ConstMatrixView alpha) {
+        delivered.fetch_add(alpha.rows(), std::memory_order_relaxed);
+      });
+  const auto push_cycle = [&](std::size_t batches) {
+    for (std::size_t b = 0; b < batches; ++b) {
+      for (std::size_t f = 0; f < options.batch_size; ++f) {
+        const numerics::ConstVectorView frame =
+            frames.row_view((b * options.batch_size + f) % frames.rows());
+        engine.push_frame(1, frame, 1);
+        engine.push_frame(2, frame, 1, mask);
+      }
+    }
+  };
+  const auto wait_for = [&](std::uint64_t target) {
+    while (delivered.load(std::memory_order_relaxed) < target) {
+      std::this_thread::yield();
+    }
+  };
+  push_cycle(6);
+  wait_for(2 * 6 * options.batch_size);
+  push_cycle(6);
+  wait_for(2 * 12 * options.batch_size);
+
+  const std::uint64_t before = testhook::allocation_count();
+  push_cycle(10);
+  wait_for(2 * 22 * options.batch_size);
+  EXPECT_EQ(testhook::allocation_count() - before, 0u)
+      << "a warmed coefficient engine must serve without heap allocations";
 }
 
 TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
