@@ -42,33 +42,6 @@ inline void ref_matmul(numerics::ConstMatrixView a,
   }
 }
 
-/// C = bias + A * B_blocked over a blocked-CSR operator: bias-seeded
-/// rows, k ascending, stored 8-wide blocks in column order, separate
-/// mul/add — the exact bit pattern every spmm tier reproduces when the
-/// operator is not fully dense. `values` holds 8 zero-padded doubles per
-/// stored block; `row_ptr`/`block_cols` follow sparse::BlockedCsr.
-inline void ref_spmm(numerics::ConstMatrixView a, const double* values,
-                     const std::uint32_t* block_cols,
-                     const std::uint32_t* row_ptr, std::size_t n,
-                     const double* bias, numerics::MatrixView c) {
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row_data(i);
-    double* crow = c.row_data(i);
-    for (std::size_t j = 0; j < n; ++j) crow[j] = bias[j];
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = arow[k];
-      for (std::uint32_t blk = row_ptr[k]; blk < row_ptr[k + 1]; ++blk) {
-        const std::size_t j0 = static_cast<std::size_t>(block_cols[blk]) * 8;
-        const double* v = values + static_cast<std::size_t>(blk) * 8;
-        const std::size_t w = n - j0 < 8 ? n - j0 : 8;
-        for (std::size_t l = 0; l < w; ++l) {
-          crow[j0 + l] = crow[j0 + l] + aik * v[l];
-        }
-      }
-    }
-  }
-}
-
 /// |A| * |B| (+ |bias|): the per-element magnitude sum that scales the
 /// ULP tolerance of the GEMM comparison.
 inline void ref_matmul_abs(numerics::ConstMatrixView a,

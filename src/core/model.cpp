@@ -9,7 +9,6 @@
 
 #include "numerics/blas.h"
 #include "numerics/gemm_f32.h"
-#include "numerics/spmm.h"
 #include "obs/trace.h"
 #include "numerics/svd.h"
 #include "support/env.h"
@@ -85,8 +84,6 @@ const char* expansion_backend_name(ExpansionBackend backend) {
   switch (backend) {
     case ExpansionBackend::kDense64:
       return "dense64";
-    case ExpansionBackend::kSparse64:
-      return "sparse64";
     case ExpansionBackend::kFp32:
       return "fp32";
   }
@@ -100,18 +97,14 @@ ExpansionOptions default_expansion_options() {
     const std::string value(name);
     if (value == "dense64") {
       opts.backend = ExpansionBackend::kDense64;
-    } else if (value == "sparse64") {
-      opts.backend = ExpansionBackend::kSparse64;
     } else if (value == "fp32") {
       opts.backend = ExpansionBackend::kFp32;
     } else {
       throw std::invalid_argument(
           "EIGENMAPS_EXPANSION_BACKEND: unknown backend \"" + value +
-          "\" (expected dense64, sparse64 or fp32)");
+          "\" (expected dense64 or fp32)");
     }
   }
-  opts.sparse_threshold =
-      support::env_double_or("EIGENMAPS_SPARSE_THRESHOLD", 0.0, 0.0, 1.0);
   opts.fp32_error_budget = support::env_double_or(
       "EIGENMAPS_FP32_ERROR_BUDGET", opts.fp32_error_budget, 0.0, 1.0);
   return opts;
@@ -168,16 +161,11 @@ ReconstructionModel::ReconstructionModel(const Basis& basis, std::size_t k,
     }
   }
 
-  // Non-dense backends build their operator from the fp64 transpose, then
-  // release it — subspace_ (the retrainer's warm start and the single-map
+  // The fp32 backend builds its operator from the fp64 transpose, then
+  // releases it — subspace_ (the retrainer's warm start and the single-map
   // golden path's operand) stays resident on every backend.
   switch (expansion_.backend) {
     case ExpansionBackend::kDense64:
-      break;
-    case ExpansionBackend::kSparse64:
-      sparse_operator_ =
-          sparse::BlockedCsr(subspace_t_.view(), expansion_.sparse_threshold);
-      subspace_t_ = numerics::Matrix();
       break;
     case ExpansionBackend::kFp32: {
       f32_operator_.resize(k * n);
@@ -355,14 +343,6 @@ void ReconstructionModel::expand_into(numerics::ConstMatrixView alpha,
     case ExpansionBackend::kDense64:
       numerics::matmul_bias_into(alpha, subspace_t_, mean_map_, out);
       break;
-    case ExpansionBackend::kSparse64: {
-      const numerics::BlockedOperatorView op{
-          sparse_operator_.values(), sparse_operator_.block_cols(),
-          sparse_operator_.row_ptr(), sparse_operator_.rows(),
-          sparse_operator_.cols()};
-      numerics::spmm_bias_into(alpha, op, mean_map_, out);
-      break;
-    }
     case ExpansionBackend::kFp32: {
       const numerics::ConstF32MatrixView op{
           f32_operator_.data(), k_, mean_map_.size(), mean_map_.size()};
@@ -374,26 +354,12 @@ void ReconstructionModel::expand_into(numerics::ConstMatrixView alpha,
 
 std::size_t ReconstructionModel::expansion_bytes() const {
   switch (expansion_.backend) {
-    case ExpansionBackend::kSparse64:
-      return sparse_operator_.bytes();
     case ExpansionBackend::kFp32:
       return (f32_operator_.size() + f32_bias_.size()) * sizeof(float);
     case ExpansionBackend::kDense64:
       break;
   }
   return subspace_t_.storage().size() * sizeof(double);
-}
-
-double ReconstructionModel::sparse_stored_density() const {
-  return expansion_.backend == ExpansionBackend::kSparse64
-             ? sparse_operator_.stored_density()
-             : 1.0;
-}
-
-double ReconstructionModel::sparse_dropped_mass() const {
-  return expansion_.backend == ExpansionBackend::kSparse64
-             ? sparse_operator_.dropped_mass()
-             : 0.0;
 }
 
 numerics::Matrix ReconstructionModel::expand(

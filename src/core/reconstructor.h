@@ -17,7 +17,7 @@ namespace eigenmaps::core {
 class Reconstructor {
  public:
   /// Expansion backend from the environment (default_expansion_options):
-  /// dense64 unless EIGENMAPS_EXPANSION_BACKEND opts into sparse64/fp32,
+  /// dense64 unless EIGENMAPS_EXPANSION_BACKEND opts into fp32,
   /// so existing builds stay byte-identical with no env set.
   Reconstructor(const Basis& basis, std::size_t k, SensorLocations sensors,
                 numerics::Vector mean_map)

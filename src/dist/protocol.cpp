@@ -228,7 +228,6 @@ void encode_register_model(runtime::ModelId id,
   w.u64(generation);
   const core::ExpansionOptions& expansion = model.expansion_options();
   w.u8(static_cast<std::uint8_t>(expansion.backend));
-  w.f64(expansion.sparse_threshold);
   w.f64(expansion.fp32_error_budget);
   w.u64(model.order());
   w.u64(model.sensors().size());
@@ -247,11 +246,11 @@ RegisterModelMsg decode_register_model(const std::uint8_t* data,
   msg.model = r.u64();
   msg.generation = r.u64();
   const std::uint8_t backend = r.u8();
-  if (backend > static_cast<std::uint8_t>(core::ExpansionBackend::kFp32)) {
+  if (backend != static_cast<std::uint8_t>(core::ExpansionBackend::kDense64) &&
+      backend != static_cast<std::uint8_t>(core::ExpansionBackend::kFp32)) {
     throw ProtocolError("dist: unknown expansion backend");
   }
   msg.expansion.backend = static_cast<core::ExpansionBackend>(backend);
-  msg.expansion.sparse_threshold = r.f64();
   msg.expansion.fp32_error_budget = r.f64();
   msg.order = r.u64();
   const std::uint64_t sensor_count = r.u64();
@@ -503,11 +502,8 @@ void encode_engine_stats(const runtime::EngineStats& stats,
     w.u64(m.adaptation.swaps_published);
     w.u32(m.expansion_backend);
     w.u64(m.dense_expansion_bytes);
-    w.u64(m.sparse_expansion_bytes);
     w.u64(m.fp32_expansion_bytes);
     w.u64(m.factor_cache_bytes);
-    w.f64(m.sparse_stored_density);
-    w.f64(m.sparse_dropped_mass);
     w.f64(m.fp32_measured_error);
   }
 }
@@ -571,11 +567,8 @@ runtime::EngineStats decode_engine_stats(const std::uint8_t* data,
     m.adaptation.swaps_published = r.u64();
     m.expansion_backend = r.u32();
     m.dense_expansion_bytes = r.u64();
-    m.sparse_expansion_bytes = r.u64();
     m.fp32_expansion_bytes = r.u64();
     m.factor_cache_bytes = r.u64();
-    m.sparse_stored_density = r.f64();
-    m.sparse_dropped_mass = r.f64();
     m.fp32_measured_error = r.f64();
   }
   r.expect_end();

@@ -49,8 +49,9 @@ inline constexpr std::uint32_t kWireMagic = 0x454D5031;  // "EMP1"
 // v5: results carry coefficients (alpha) plus the router-assigned model
 // generation that solved them — the router expands at delivery — and
 // model registration carries that generation and the model's expansion
-// options (DESIGN.md §12).
-inline constexpr std::uint16_t kProtocolVersion = 5;
+// options (DESIGN.md §12); v6: the blocked-CSR backend is gone —
+// registration drops its threshold and the stats payload its three gauges.
+inline constexpr std::uint16_t kProtocolVersion = 6;
 /// Sanity ceiling on one payload; a length past it is a corrupt header.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 30;
 

@@ -43,7 +43,6 @@ std::size_t default_blas_threads() {
 /// Upper-triangle tiles of G = A^T A whose row range is [i0, i1), with the
 /// sample loop innermost per tile; contributions accumulate with r
 /// ascending for every g(i, j), matching the naive rank-1 update order.
-EIGENMAPS_KERNEL_CLONES
 void gram_rows_portable(ConstMatrixView a, MatrixView g, std::size_t i0,
                         std::size_t i1) {
   const std::size_t rows = a.rows();
@@ -88,7 +87,6 @@ void gram_rows(ConstMatrixView a, MatrixView g, std::size_t i0,
 }
 
 /// Rows [i0, i1) of y = A x, each y(i) a plain ascending-j sum.
-EIGENMAPS_KERNEL_CLONES
 void matvec_rows_portable(ConstMatrixView a, const double* x, double* y,
                           std::size_t i0, std::size_t i1) {
   const std::size_t n = a.cols();
@@ -101,7 +99,6 @@ void matvec_rows_portable(ConstMatrixView a, const double* x, double* y,
 }
 
 /// Accumulates rows [i0, i1) of A into y = A^T x, i ascending per y(j).
-EIGENMAPS_KERNEL_CLONES
 void matvec_t_rows_portable(ConstMatrixView a, const double* x, double* y,
                             std::size_t i0, std::size_t i1) {
   const std::size_t n = a.cols();

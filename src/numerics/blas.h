@@ -57,12 +57,6 @@ void matmul_bias_into(ConstMatrixView a, ConstMatrixView b,
                       ConstVectorView bias, MatrixView c);
 Matrix matmul_bias(const Matrix& a, const Matrix& b, const Vector& bias);
 
-/// C = A * B^T (a is m x k, b is n x k, result m x n). Row-major B^T access
-/// would stride; this reads both operands along their contiguous rows.
-void matmul_transposed_into(ConstMatrixView a, ConstMatrixView b,
-                            MatrixView c);
-Matrix matmul_transposed(const Matrix& a, const Matrix& b);
-
 /// Gram matrix A^T * A (cols x cols), exploiting symmetry.
 void gram_into(ConstMatrixView a, MatrixView g);
 Matrix gram(const Matrix& a);

@@ -1,10 +1,11 @@
-// The GEMM family: matmul / matmul_accumulate / matmul_bias /
-// matmul_transposed, in both view (`_into`) and owning forms.
+// The GEMM family: matmul / matmul_accumulate / matmul_bias, in both view
+// (`_into`) and owning forms.
 //
-// This translation unit is compiled with -ffp-contract=fast (see
-// CMakeLists): the AVX2/AVX-512 clones fuse multiply-adds, roughly
-// doubling throughput on FMA hardware. That makes GEMM results depend on
-// the host's ISA level in the last bits — which is why the GEMM family is
+// The explicit AVX2/AVX-512 tiers fuse multiply-adds, roughly doubling
+// throughput on FMA hardware, and this translation unit is compiled with
+// -ffp-contract=fast (see CMakeLists) so the portable loops fuse too
+// wherever the baseline ISA has FMA. That makes GEMM results depend on
+// the active tier in the last bits — which is why the GEMM family is
 // quarantined here: every kernel the golden regression files flow through
 // (gram for the SVD rank checks, the QR solves, the eigensolvers) lives in
 // contraction-free translation units and stays bit-identical across
@@ -41,7 +42,6 @@ using detail::threads_for;
 /// + 4 panel vectors + 2 accumulators = 14 live vector registers; wider
 /// shapes (16 broadcasts) spill the 16 architectural registers and halve
 /// throughput.
-EIGENMAPS_KERNEL_CLONES
 void matmul_rows_portable(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                           const double* bias, std::size_t i0,
                           std::size_t i1) {
@@ -121,7 +121,7 @@ void matmul_rows_portable(ConstMatrixView a, ConstMatrixView b, MatrixView c,
 
 /// Runtime tier selection for the GEMM inner kernel (DESIGN.md §13): the
 /// explicit AVX-512 / AVX2 register-tile kernels where compiled and
-/// supported, else the target_clones portable path above. Every tier
+/// supported, else the portable baseline path above. Every tier
 /// accumulates each c(i, j) in ascending-k left-associated order, so the
 /// choice moves last-bit roundings (FMA vs compiler contraction) but
 /// never determinism.
@@ -139,29 +139,6 @@ void gemm_rows(ConstMatrixView a, ConstMatrixView b, MatrixView c,
     default:
       matmul_rows_portable(a, b, c, bias, i0, i1);
       return;
-  }
-}
-
-/// Rows [i0, i1) of C = A * B^T: c(i, j) = <a_row_i, b_row_j>. B's rows are
-/// tiled so a small panel stays L1-resident while the i-loop reuses it.
-EIGENMAPS_KERNEL_CLONES
-void matmul_transposed_rows(ConstMatrixView a, ConstMatrixView b,
-                            MatrixView c, std::size_t i0, std::size_t i1) {
-  const std::size_t inner = a.cols();
-  const std::size_t n = b.rows();
-  constexpr std::size_t kPanelRows = 64;
-  for (std::size_t jj = 0; jj < n; jj += kPanelRows) {
-    const std::size_t jend = std::min(jj + kPanelRows, n);
-    for (std::size_t i = i0; i < i1; ++i) {
-      const double* arow = a.row_data(i);
-      double* crow = c.row_data(i);
-      for (std::size_t j = jj; j < jend; ++j) {
-        const double* brow = b.row_data(j);
-        double s = 0.0;
-        for (std::size_t k = 0; k < inner; ++k) s += arow[k] * brow[k];
-        crow[j] = s;
-      }
-    }
   }
 }
 
@@ -226,29 +203,6 @@ void matmul_bias_into(ConstMatrixView a, ConstMatrixView b,
 Matrix matmul_bias(const Matrix& a, const Matrix& b, const Vector& bias) {
   Matrix c(a.rows(), b.cols());
   matmul_bias_into(a, b, bias, c.view());
-  return c;
-}
-
-void matmul_transposed_into(ConstMatrixView a, ConstMatrixView b,
-                            MatrixView c) {
-  if (a.cols() != b.cols()) {
-    throw std::invalid_argument(
-        "matmul_transposed_into: inner dimension mismatch");
-  }
-  if (c.rows() != a.rows() || c.cols() != b.rows()) {
-    throw std::invalid_argument(
-        "matmul_transposed_into: output shape mismatch");
-  }
-  const std::size_t threads = threads_for(a.rows() * a.cols() * b.rows());
-  parallel_ranges(a.rows(), threads,
-                  [&](std::size_t i0, std::size_t i1) {
-                    matmul_transposed_rows(a, b, c, i0, i1);
-                  });
-}
-
-Matrix matmul_transposed(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.rows());
-  matmul_transposed_into(a, b, c.view());
   return c;
 }
 

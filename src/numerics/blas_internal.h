@@ -1,6 +1,6 @@
 // Shared internals of the dense-kernel translation units (blas.cpp,
-// blas_gemm.cpp): deterministic work partitioning and the ISA-dispatch
-// macro. Not part of the public numerics API.
+// blas_gemm.cpp, gemm_f32.cpp and the SIMD kernels): panel sizes and
+// deterministic work partitioning. Not part of the public numerics API.
 #ifndef EIGENMAPS_NUMERICS_BLAS_INTERNAL_H
 #define EIGENMAPS_NUMERICS_BLAS_INTERNAL_H
 
@@ -10,16 +10,6 @@
 #include <vector>
 
 #include "numerics/blas.h"
-
-// Runtime ISA dispatch for the hot kernels: the linker picks the widest
-// clone the CPU supports (ifunc), so one binary runs everywhere and still
-// uses AVX2/AVX-512 where present.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define EIGENMAPS_KERNEL_CLONES \
-  __attribute__((target_clones("default", "avx2", "avx512f")))
-#else
-#define EIGENMAPS_KERNEL_CLONES
-#endif
 
 namespace eigenmaps::numerics::detail {
 

@@ -27,7 +27,6 @@ using detail::threads_for;
 /// keeping an fp32 accumulator panel on the stack — seeded from the fp32
 /// bias, accumulated k-ascending in fp32, widened to double on the single
 /// store. Coefficients convert fp64 -> fp32 on the fly.
-EIGENMAPS_KERNEL_CLONES
 void gemm_f32_rows_portable(ConstMatrixView a, const ConstF32MatrixView& b,
                             const float* bias, MatrixView c, std::size_t i0,
                             std::size_t i1) {

@@ -1,12 +1,15 @@
 // Runtime ISA selection for the hand-written SIMD micro-kernels.
 //
-// Three tiers: kPortable (the target_clones auto-vectorised C++ loops —
-// also the NEON / non-x86 path), kAvx2 (explicit 256-bit FMA kernels) and
-// kAvx512 (explicit 512-bit masked kernels). The widest tier that is both
-// compiled into this binary and supported by the CPU wins; the
-// EIGENMAPS_FORCE_ISA environment variable ("portable"/"scalar", "avx2",
-// "avx512") narrows the choice for testing, and forcing a tier the machine
-// cannot run throws instead of silently falling back (DESIGN.md §13).
+// Three tiers: kPortable (plain C++ loops compiled for the baseline ISA —
+// SSE2 on x86-64, native code elsewhere), kAvx2 (explicit 256-bit FMA
+// kernels) and kAvx512 (explicit 512-bit masked kernels). This is the
+// only dispatch mechanism: nothing else picks code by CPU feature. The
+// widest tier that is both compiled into this binary and supported by the
+// CPU wins; the EIGENMAPS_FORCE_ISA environment variable
+// ("portable"/"scalar", "avx2", "avx512") narrows the choice for testing,
+// and forcing a tier the machine cannot run throws instead of silently
+// falling back (DESIGN.md §13). A kernel without an explicit tier for the
+// active ISA runs its portable loop.
 //
 // The selection never changes results on the golden paths: the explicit
 // gram / matvec / QR-reflector / Givens-sweep kernels preserve the scalar

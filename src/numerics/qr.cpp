@@ -18,8 +18,10 @@ namespace {
 /// update. Two passes over rows — the dot products accumulate with i
 /// ascending per column, exactly the order of the classic per-column
 /// loop, so restructuring moves no bits. `s` holds n scratch doubles.
-void qr_reflect_columns_portable(MatrixView qr, std::size_t k, double tau,
-                                 double* s) {
+/// One tier only: explicit AVX2/AVX-512 forms ran at 0.6-0.8x this loop
+/// on the served shapes (DESIGN.md §13).
+void qr_reflect_columns(MatrixView qr, std::size_t k, double tau,
+                        double* s) {
   const std::size_t m = qr.rows();
   const std::size_t n = qr.cols();
   double* krow = qr.row_data(k);
@@ -37,26 +39,6 @@ void qr_reflect_columns_portable(MatrixView qr, std::size_t k, double tau,
     const double vik = qr(i, k);
     double* row = qr.row_data(i);
     for (std::size_t j = k + 1; j < n; ++j) row[j] -= s[j] * vik;
-  }
-}
-
-/// Runtime tier selection for the reflector apply (DESIGN.md §13). Lane j
-/// owns column j in the SIMD tiers and every sum stays an ascending-i
-/// mul + add chain, so all tiers are bit-identical.
-void qr_reflect_columns(MatrixView qr, std::size_t k, double tau,
-                        double* s) {
-  switch (active_isa()) {
-#if defined(EIGENMAPS_HAVE_X86_KERNELS)
-    case Isa::kAvx512:
-      detail::qr_reflect_columns_avx512(qr, k, tau, s);
-      return;
-    case Isa::kAvx2:
-      detail::qr_reflect_columns_avx2(qr, k, tau, s);
-      return;
-#endif
-    default:
-      qr_reflect_columns_portable(qr, k, tau, s);
-      return;
   }
 }
 
@@ -79,20 +61,16 @@ void givens_sweep_columns_portable(MatrixView r, const double* c,
 /// Runtime tier selection for the downdate column sweep. Lane j owns
 /// column j; the carry recurrence per column is the same separate
 /// mul/add/sub sequence in every tier, so the sweep stays bit-identical.
+/// AVX2 hosts run the portable loop: its explicit tier did not clear the
+/// 1.2x retention bar at K = 16 (DESIGN.md §13).
 void givens_sweep_columns(MatrixView r, const double* c, const double* s) {
-  switch (active_isa()) {
 #if defined(EIGENMAPS_HAVE_X86_KERNELS)
-    case Isa::kAvx512:
-      detail::givens_sweep_columns_avx512(r, c, s);
-      return;
-    case Isa::kAvx2:
-      detail::givens_sweep_columns_avx2(r, c, s);
-      return;
-#endif
-    default:
-      givens_sweep_columns_portable(r, c, s);
-      return;
+  if (active_isa() == Isa::kAvx512) {
+    detail::givens_sweep_columns_avx512(r, c, s);
+    return;
   }
+#endif
+  givens_sweep_columns_portable(r, c, s);
 }
 
 }  // namespace

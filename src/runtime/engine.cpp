@@ -171,13 +171,16 @@ numerics::Vector BufferPool::acquire(std::size_t doubles, bool& minted) {
     }
   }
   minted = true;
-  return numerics::Vector(doubles);
+  numerics::Vector buffer(doubles);
+  std::lock_guard<std::mutex> lock(mutex_);
+  free_.reserve(++minted_);
+  return buffer;
 }
 
 void BufferPool::release(numerics::Vector buffer) {
   if (buffer.capacity() == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  free_.push_back(std::move(buffer));
+  free_.push_back(std::move(buffer));  // within the capacity minting reserved
 }
 
 // ---- ReconstructionEngine ----------------------------------------------
@@ -219,7 +222,8 @@ ReconstructionEngine::ReconstructionEngine(
       options_(options),
       on_result_(std::move(on_result)),
       on_coefficients_(std::move(on_coefficients)),
-      pool_(std::make_shared<BufferPool>()) {
+      input_pool_(std::make_shared<BufferPool>()),
+      output_pool_(std::make_shared<BufferPool>()) {
   if (on_coefficients_ && options_.observer != nullptr) {
     throw std::invalid_argument(
         "ReconstructionEngine: a BatchObserver needs maps; it cannot be "
@@ -404,7 +408,7 @@ PooledMaps ReconstructionEngine::submit_wait(numerics::ConstMatrixView frames,
   }
   bool minted = false;
   numerics::Vector buffer =
-      pool_->acquire(frames.rows() * frames.cols(), minted);
+      input_pool_->acquire(frames.rows() * frames.cols(), minted);
   if (minted) count_serving_allocations(model, 1);
   for (std::size_t f = 0; f < frames.rows(); ++f) {
     const double* src = frames.row_data(f);
@@ -489,7 +493,7 @@ std::uint64_t ReconstructionEngine::push_frame(std::uint64_t stream,
       // Pool recycling makes this allocation-free once the engine is warm.
       bool minted = false;
       state->pending =
-          pool_->acquire(options_.batch_size * state->width, minted);
+          input_pool_->acquire(options_.batch_size * state->width, minted);
       if (minted) count_serving_allocations(model, 1);
     } else {
       if (frame.size() != state->entry->model->sensor_count()) {
@@ -599,19 +603,10 @@ EngineStats ReconstructionEngine::stats() const {
       model_stats.expansion_backend =
           static_cast<std::uint32_t>(model.expansion_backend());
       model_stats.dense_expansion_bytes = model.dense_expansion_bytes();
-      switch (model.expansion_backend()) {
-        case core::ExpansionBackend::kSparse64:
-          model_stats.sparse_expansion_bytes = model.expansion_bytes();
-          break;
-        case core::ExpansionBackend::kFp32:
-          model_stats.fp32_expansion_bytes = model.expansion_bytes();
-          break;
-        case core::ExpansionBackend::kDense64:
-          break;
+      if (model.expansion_backend() == core::ExpansionBackend::kFp32) {
+        model_stats.fp32_expansion_bytes = model.expansion_bytes();
       }
       model_stats.factor_cache_bytes = entry->cache->resident_bytes();
-      model_stats.sparse_stored_density = model.sparse_stored_density();
-      model_stats.sparse_dropped_mass = model.sparse_dropped_mass();
       model_stats.fp32_measured_error = model.fp32_measured_error();
     }
     if (options_.observer != nullptr) {
@@ -703,7 +698,8 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
   const std::size_t width =
       coefficients ? job.entry->model->order() : cells;
   bool minted = false;
-  numerics::Vector rows = pool_->acquire(job.frame_count * width, minted);
+  numerics::Vector rows =
+      output_pool_->acquire(job.frame_count * width, minted);
   if (minted) ++minted_buffers;
   numerics::MatrixView out(rows.data(), job.frame_count, width, width);
   if (coefficients) {
@@ -765,14 +761,14 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
     options_.observer->on_batch(job.entry->id, job.entry->version, job.stream,
                                 *job.entry->model, job.mask, frames, out);
   }
-  // Input goes back to the pool BEFORE the result is handed over: a
-  // one-shot caller may re-submit the instant it wakes, and its next
-  // ingest acquire must find this buffer already home (or the warmed
-  // pool would mint a spare — the zero-allocation test catches exactly
-  // that race).
-  if (job.pooled_input) pool_->release(std::move(job.frames));
   if (job.one_shot()) {
-    PooledMaps result(pool_, std::move(rows), job.frame_count, cells);
+    // Input goes back to the pool BEFORE the result is handed over: a
+    // one-shot caller may re-submit the instant it wakes, and its next
+    // ingest acquire must find this buffer already home (or the warmed
+    // pool would mint a spare — the zero-allocation test catches exactly
+    // that race).
+    if (job.pooled_input) input_pool_->release(std::move(job.frames));
+    PooledMaps result(output_pool_, std::move(rows), job.frame_count, cells);
     if (job.promise) {
       job.promise->set_value(std::move(result));
     } else {
@@ -790,6 +786,12 @@ void ReconstructionEngine::run_job(Job& job, core::Workspace& workspace) {
       obs::record_span(obs::Stage::kDeliver, deliver_start_ns, deliver_end_ns,
                        ctx.stream, ctx.first_seq, ctx.frames);
     }
+    // A streaming job returns its input only after delivery, so a worker
+    // holds both of its buffers until the batch is handed over. The
+    // pools' peak population is then reached whenever delivery is slow —
+    // a stall that warm-up can force — rather than only when a solve
+    // happens to coincide with a full queue and a fresh ingest buffer.
+    if (job.pooled_input) input_pool_->release(std::move(job.frames));
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.stage_latency[static_cast<std::size_t>(obs::Stage::kDeliver)]
         .record(deliver_end_ns - deliver_start_ns);
@@ -828,7 +830,7 @@ void ReconstructionEngine::deliver(
     } else if (on_result_) {
       on_result_(stream, batch.first_seq, view);
     }
-    pool_->release(std::move(batch.rows));
+    output_pool_->release(std::move(batch.rows));
   }
 }
 

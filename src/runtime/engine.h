@@ -77,12 +77,14 @@ struct EngineOptions {
   BatchObserver* observer = nullptr;
 };
 
-/// Recycles double buffers (frame batches in, reconstructed maps out).
-/// acquire() resizes a free buffer whose capacity fits — no allocation —
-/// and only mints a new one (reporting it, for the steady-state counters)
-/// when none does. Shared by the engine and the PooledMaps handles it
-/// gives out, which is why it lives behind a shared_ptr: a handle may
-/// outlive the engine, and its buffer must still have somewhere to go.
+/// Recycles double buffers of one role (frame batches in, or results
+/// out). acquire() resizes a free buffer whose capacity fits — no
+/// allocation — and only mints a new one (reporting it, for the
+/// steady-state counters) when none does; release() never allocates,
+/// because every mint reserves a free-list slot for the new buffer.
+/// Shared by the engine and the PooledMaps handles it gives out, which is
+/// why it lives behind a shared_ptr: a handle may outlive the engine, and
+/// its buffer must still have somewhere to go.
 class BufferPool {
  public:
   /// A buffer with size() == doubles. Sets `minted` when it had to heap-
@@ -93,6 +95,7 @@ class BufferPool {
  private:
   std::mutex mutex_;
   std::vector<numerics::Vector> free_;
+  std::size_t minted_ = 0;
 };
 
 /// Owning handle to a one-shot batch result living in a pooled buffer:
@@ -181,24 +184,16 @@ struct ModelStats {
   // -- expansion-backend identity and memory accounting (DESIGN.md §14) --
   // Gauges, not counters: sampled from the currently registered version at
   // stats() time, so a hot swap re-reads them from the replacement model.
-  /// core::ExpansionBackend of the registered model (0 dense64, 1
-  /// sparse64, 2 fp32).
+  /// core::ExpansionBackend of the registered model (0 dense64, 2 fp32).
   std::uint32_t expansion_backend = 0;
   /// Bytes the dense fp64 operator (k x N doubles) would occupy — the
   /// baseline every reduction is quoted against. Always filled.
   std::uint64_t dense_expansion_bytes = 0;
-  /// Blocked-CSR operator bytes (values + block columns + row pointers);
-  /// nonzero only for the sparse64 backend.
-  std::uint64_t sparse_expansion_bytes = 0;
   /// fp32 operator + bias bytes; nonzero only for the fp32 backend.
   std::uint64_t fp32_expansion_bytes = 0;
   /// Resident bytes of the model's FactorCache: downdate seed R plus every
   /// cached per-mask factor.
   std::uint64_t factor_cache_bytes = 0;
-  /// sparse64: stored blocks / total blocks (1.0 otherwise).
-  double sparse_stored_density = 1.0;
-  /// sparse64: relative Frobenius mass dropped by thresholding.
-  double sparse_dropped_mass = 0.0;
   /// fp32: expansion error measured against the fp64 operator at model
   /// construction (what the registry's publish gate enforced).
   double fp32_measured_error = 0.0;
@@ -491,7 +486,12 @@ class ReconstructionEngine {
   const ResultCallback on_result_;
   const CoefficientCallback on_coefficients_;  // set: streams skip expand
 
-  const std::shared_ptr<BufferPool> pool_;
+  // One pool per role. A shared pool let a frame-batch ask take a free
+  // result buffer (it fits), so the next result ask minted: whether a
+  // warmed engine allocated depended on how the two roles' peaks happened
+  // to interleave, not on the peaks themselves.
+  const std::shared_ptr<BufferPool> input_pool_;
+  const std::shared_ptr<BufferPool> output_pool_;
   std::unique_ptr<BoundedWorkQueue<Job>> queue_;
   std::vector<std::thread> workers_;
 

@@ -85,6 +85,16 @@ TEST(DistProtocol, HeaderRoundTripRejectsCorruption) {
   dist::encode_header(skew, bad_version);
   EXPECT_THROW(dist::decode_header(bad_version), dist::ProtocolError);
 
+  // A v5 worker still sends the retired blocked-CSR threshold and gauges;
+  // its hello is refused before any of that is parsed.
+  dist::WireHeader old_hello;
+  old_hello.type = static_cast<std::uint16_t>(dist::MessageType::kHello);
+  old_hello.version = 5;
+  old_hello.payload_bytes = 4;
+  std::uint8_t v5_hello[dist::WireHeader::kBytes];
+  dist::encode_header(old_hello, v5_hello);
+  EXPECT_THROW(dist::decode_header(v5_hello), dist::ProtocolError);
+
   dist::WireHeader absurd = header;
   absurd.payload_bytes = dist::kMaxPayloadBytes + 1;
   std::uint8_t bad_size[dist::WireHeader::kBytes];
@@ -260,7 +270,7 @@ TEST(DistProtocol, ResultOverflowingFramesTimesOrderThrows) {
 }
 
 TEST(DistProtocol, RegisterModelCarriesGenerationAndExpansionOptions) {
-  // v5: the router's generation and the model's expansion options cross
+  // v5+: the router's generation and the model's expansion options cross
   // the wire, so a shard rebuilds (and budget-checks) exactly the backend
   // the caller chose instead of the environment's default.
   const Fixture fx;
@@ -279,10 +289,21 @@ TEST(DistProtocol, RegisterModelCarriesGenerationAndExpansionOptions) {
   EXPECT_EQ(rebuilt->expansion_backend(), core::ExpansionBackend::kFp32);
   EXPECT_EQ(rebuilt->fp32_measured_error(), rec.model()->fp32_measured_error());
 
-  // An unknown backend byte is a corrupt frame, not a default.
-  payload[16] = 9;
-  EXPECT_THROW(dist::decode_register_model(payload.data(), payload.size()),
-               dist::ProtocolError);
+  // Every proper prefix is a truncation and must throw.
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_THROW(dist::decode_register_model(payload.data(), cut),
+                 dist::ProtocolError)
+        << "prefix " << cut;
+  }
+
+  // An unknown backend byte is a corrupt frame, not a default — including
+  // 1, the retired blocked-CSR backend, whose id stays unassigned.
+  for (const std::uint8_t bad : {std::uint8_t{1}, std::uint8_t{9}}) {
+    payload[16] = bad;
+    EXPECT_THROW(dist::decode_register_model(payload.data(), payload.size()),
+                 dist::ProtocolError)
+        << "backend byte " << int{bad};
+  }
 }
 
 TEST(DistProtocol, RegisterModelRoundTripRebuildsBitIdenticalModel) {

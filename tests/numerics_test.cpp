@@ -92,11 +92,9 @@ TEST(Blas, ThreadedProductsAreBitIdenticalToSerial) {
   numerics::set_blas_threads(1);
   const numerics::Matrix serial = numerics::matmul(a, b);
   const numerics::Matrix serial_gram = numerics::gram(a);
-  const numerics::Matrix serial_t = numerics::matmul_transposed(a, a);
   numerics::set_blas_threads(3);
   const numerics::Matrix threaded = numerics::matmul(a, b);
   const numerics::Matrix threaded_gram = numerics::gram(a);
-  const numerics::Matrix threaded_t = numerics::matmul_transposed(a, a);
   numerics::set_blas_threads(0);  // restore default resolution
   for (std::size_t i = 0; i < serial.rows(); ++i) {
     for (std::size_t j = 0; j < serial.cols(); ++j) {
@@ -108,33 +106,6 @@ TEST(Blas, ThreadedProductsAreBitIdenticalToSerial) {
       EXPECT_EQ(serial_gram(i, j), threaded_gram(i, j));
     }
   }
-  // serial_t is rows x rows — larger than the gram — so it gets its own
-  // loop; the ragged last thread partition lives in the tail rows.
-  for (std::size_t i = 0; i < serial_t.rows(); ++i) {
-    for (std::size_t j = 0; j < serial_t.cols(); ++j) {
-      EXPECT_EQ(serial_t(i, j), threaded_t(i, j));
-    }
-  }
-}
-
-TEST(Blas, MatmulTransposedMatchesExplicitTranspose) {
-  const numerics::Matrix a = random_matrix(13, 6, 41);
-  const numerics::Matrix b = random_matrix(17, 6, 42);
-  numerics::Matrix bt(6, 17);
-  for (std::size_t i = 0; i < 17; ++i) {
-    for (std::size_t j = 0; j < 6; ++j) bt(j, i) = b(i, j);
-  }
-  const numerics::Matrix c = numerics::matmul_transposed(a, b);
-  const numerics::Matrix ref = numerics::matmul(a, bt);
-  ASSERT_EQ(c.rows(), 13u);
-  ASSERT_EQ(c.cols(), 17u);
-  for (std::size_t i = 0; i < c.rows(); ++i) {
-    for (std::size_t j = 0; j < c.cols(); ++j) {
-      EXPECT_NEAR(c(i, j), ref(i, j), 1e-12);
-    }
-  }
-  EXPECT_THROW(numerics::matmul_transposed(a, random_matrix(4, 5, 43)),
-               std::invalid_argument);
 }
 
 TEST(Blas, MatmulBiasMatchesProductPlusBroadcast) {

@@ -28,6 +28,34 @@ namespace {
 
 using namespace eigenmaps;
 
+/// Drives the engine's buffer pools to their peak live population during
+/// warm-up. While active, every delivery spins until the producer has made
+/// no progress for 2 ms — it is blocked on the full queue, or done. The
+/// stalled worker still holds its job's input and output buffers, so at
+/// that moment each pool holds its structural maximum (pending batches +
+/// full queue + in-flight job + output). Without the stall a fast worker
+/// can keep the queue empty through every warm cycle, and a scheduler
+/// hiccup during the measured cycle would hit a fresh concurrency peak —
+/// and mint a pool buffer mid-measurement.
+struct WarmupStall {
+  std::atomic<bool> active{true};
+  std::atomic<std::uint64_t> pushed{0};
+
+  void pushed_one() { pushed.fetch_add(1, std::memory_order_relaxed); }
+  void in_delivery() const {
+    if (!active.load(std::memory_order_relaxed)) return;
+    std::uint64_t seen = pushed.load(std::memory_order_relaxed);
+    std::uint64_t quiet_since = obs::monotonic_ns();
+    while (obs::monotonic_ns() - quiet_since < 2'000'000) {
+      const std::uint64_t now = pushed.load(std::memory_order_relaxed);
+      if (now != seen) {
+        seen = now;
+        quiet_since = obs::monotonic_ns();
+      }
+    }
+  }
+};
+
 struct Fixture {
   Fixture()
       : basis(12, 12, 8),
@@ -158,6 +186,7 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
   const numerics::Matrix frames = fx.frames(64, 11);
 
   std::atomic<std::uint64_t> delivered{0};
+  WarmupStall warmup;
   runtime::EngineOptions options;
   options.worker_count = 1;
   options.batch_size = 8;
@@ -166,6 +195,7 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
   runtime::ReconstructionEngine engine(
       fx.rec, options,
       [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
+        warmup.in_delivery();
         delivered.fetch_add(maps.rows(), std::memory_order_relaxed);
       });
 
@@ -176,8 +206,10 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
         const numerics::ConstVectorView frame =
             frames.row_view((b * options.batch_size + f) % frames.rows());
         engine.push_frame(1, frame);
+        warmup.pushed_one();
         engine.push_frame(2, frame, runtime::ReconstructionEngine::
                                         kDefaultModel, mask);
+        warmup.pushed_one();
       }
     }
   };
@@ -188,11 +220,12 @@ TEST(ZeroAlloc, WarmedEngineBatchCycle) {
   };
 
   // Warm-up: mint pool buffers, grow the worker workspace, build the
-  // mask's factor, size the delivery queues. Two saturation cycles, so the
-  // pool has seen the peak number of concurrently-live buffers (producer
-  // blocked on the full queue) before anything is measured.
+  // mask's factor, size the delivery queues. The first cycle stalls
+  // delivery (WarmupStall), so the pools see their peak number of
+  // concurrently-live buffers before anything is measured.
   push_cycle(6);
   wait_for(2 * 6 * options.batch_size);
+  warmup.active.store(false, std::memory_order_relaxed);
   push_cycle(6);
   wait_for(2 * 12 * options.batch_size);
 
@@ -228,6 +261,7 @@ TEST(ZeroAlloc, WarmedCoefficientEngineBatchCycle) {
   registry.register_model(1, fx.rec.model());
 
   std::atomic<std::uint64_t> delivered{0};
+  WarmupStall warmup;
   runtime::EngineOptions options;
   options.worker_count = 1;
   options.batch_size = 8;
@@ -236,6 +270,7 @@ TEST(ZeroAlloc, WarmedCoefficientEngineBatchCycle) {
       registry, options,
       [&](std::uint64_t, std::uint64_t, const runtime::RegisteredModel&,
           numerics::ConstMatrixView alpha) {
+        warmup.in_delivery();
         delivered.fetch_add(alpha.rows(), std::memory_order_relaxed);
       });
   const auto push_cycle = [&](std::size_t batches) {
@@ -244,7 +279,9 @@ TEST(ZeroAlloc, WarmedCoefficientEngineBatchCycle) {
         const numerics::ConstVectorView frame =
             frames.row_view((b * options.batch_size + f) % frames.rows());
         engine.push_frame(1, frame, 1);
+        warmup.pushed_one();
         engine.push_frame(2, frame, 1, mask);
+        warmup.pushed_one();
       }
     }
   };
@@ -255,6 +292,7 @@ TEST(ZeroAlloc, WarmedCoefficientEngineBatchCycle) {
   };
   push_cycle(6);
   wait_for(2 * 6 * options.batch_size);
+  warmup.active.store(false, std::memory_order_relaxed);
   push_cycle(6);
   wait_for(2 * 12 * options.batch_size);
 
@@ -276,14 +314,7 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
   const numerics::Matrix frames = fx.frames(64, 15);
 
   std::atomic<std::uint64_t> delivered{0};
-  // The worker stalls in deliver while this is set: warm-up uses it to
-  // *force* the producer to block on the full queue, so the buffer pool
-  // provably reaches its peak live population (pending batch + full queue
-  // + in-flight job + output) before anything is measured. Without the
-  // stall a fast worker can keep the queue empty through every warm cycle
-  // and a scheduler hiccup during the measured cycle would hit a fresh
-  // concurrency peak — and mint a pool buffer mid-measurement.
-  std::atomic<bool> stall_delivery{true};
+  WarmupStall warmup;
   runtime::EngineOptions options;
   options.worker_count = 1;
   options.batch_size = 8;
@@ -292,11 +323,7 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
     runtime::ReconstructionEngine engine(
         fx.rec, options,
         [&](std::uint64_t, std::uint64_t, numerics::ConstMatrixView maps) {
-          if (stall_delivery.load(std::memory_order_relaxed)) {
-            const std::uint64_t until = obs::monotonic_ns() + 200'000;
-            while (obs::monotonic_ns() < until) {
-            }
-          }
+          warmup.in_delivery();
           delivered.fetch_add(maps.rows(), std::memory_order_relaxed);
         });
 
@@ -307,6 +334,7 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
           engine.push_frame(1, frames.row_view(
                                    (b * options.batch_size + f) %
                                    frames.rows()));
+          warmup.pushed_one();
         }
       }
     };
@@ -318,7 +346,7 @@ TEST(ZeroAlloc, WarmedTracedEngineBatchCycleStaysHeapFree) {
 
     push_cycle(6);
     wait_for(6 * options.batch_size);
-    stall_delivery.store(false, std::memory_order_relaxed);
+    warmup.active.store(false, std::memory_order_relaxed);
     push_cycle(6);
     wait_for(12 * options.batch_size);
 
